@@ -8,6 +8,7 @@ import sys
 
 from .absm.engine import abs_initial_config, abs_run
 from .deadlock import diagnose_deadlock
+from .diagnostics import ParseError
 from .explore import default_properties, explore
 from .lang import check_wellformed, parse_abs, parse_masp, pretty_masp
 from .masp.engine import initial_config, run
@@ -20,11 +21,16 @@ def _load(path: str):
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     if path.endswith(".abs"):
-        program = parse_abs(text, filename=path)
+        parse = parse_abs
     elif path.endswith(".masp"):
-        program = parse_masp(text, filename=path)
+        parse = parse_masp
     else:
         raise SystemExit(f"{path}: expected a .abs or .masp file")
+    try:
+        program = parse(text, filename=path)
+    except ParseError as err:
+        print(err, file=sys.stderr)
+        raise SystemExit(1)
     diags = check_wellformed(program)
     if diags:
         for d in diags:

@@ -214,27 +214,3 @@ def cog_policy() -> ResolvedPolicy:
         ("execute_condition", "conditions"),
     )
     return ResolvedPolicy(pol, mg, _cog_dynamic_rule)
-
-
-def describe_policy(rp: ResolvedPolicy) -> str:
-    """Readable one-per-line summary, for diagnostics and traces."""
-    lines = []
-    pol = rp.policy
-    pool = "unbounded" if pol.thread_pool_size is None else str(pol.thread_pool_size)
-    kind = "hard" if pol.hard_limit_default else "soft"
-    lines.append(f"thread pool {pool}, {kind} limit by default")
-    for g in pol.groups:
-        mx = "∞" if g.max_threads is None else str(g.max_threads)
-        self_c = "self-compatible" if g.self_compatible else "not self-compatible"
-        members = [m for m, grp in rp.method_group if grp == g.name]
-        lines.append(
-            f"group {g.name}: {self_c}, min {g.min_threads}, max {mx},"
-            f" methods {members}"
-        )
-    for pair in sorted(tuple(sorted(p)) for p in pol.compatible_pairs):
-        lines.append(f"compatible: {pair[0]} ~ {pair[-1]}")
-    for i, level in enumerate(pol.priority_levels):
-        lines.append(f"priority level {i}: {', '.join(level)}")
-    if rp.dynamic_rule is not None:
-        lines.append("dynamic rule: register/execute conflict on equal ids")
-    return "\n".join(lines)

@@ -110,3 +110,13 @@ def test_cli_wellformedness_failure_is_one(tmp_path, capsys):
     with pytest.raises(SystemExit) as e:
         cli(["run", str(f)])
     assert e.value.code == 1
+
+
+def test_cli_parse_error_is_one_line(tmp_path, capsys):
+    f = tmp_path / "bad.masp"
+    f.write_text("{ vars x; x = = 1 }")
+    with pytest.raises(SystemExit) as e:
+        cli(["run", str(f)])
+    assert e.value.code == 1
+    err = capsys.readouterr().err
+    assert err == f"{f}:1:15: expected expression, found '='\n"
