@@ -6,6 +6,23 @@ and full configuration equivalence.
 Conventions realized structurally: activity names equal cog names and
 object identifiers equal registry ids, so only future names need an
 explicit bijection (the multi-active side mints extra meta futures).
+
+Memos. Statements are immutable and successor configurations share
+them, so two memos live on the statement objects themselves, outside
+the dataclass fields (``==`` and ``hash`` ignore them):
+
+- a cooperative statement keeps its translation, one per temporary
+  prefix, and the translation of a remaining tail is the concatenation
+  of those tuples. Each statement is translated under a fresh context,
+  where one threaded context would number boolean-guard methods
+  ``condition_1``, ``condition_2``, ... across the tail. That numbering
+  is the only state a context carries from one statement to the next
+  (the scope is empty here), and ``_stmts_match`` accepts any
+  ``condition_<k>`` for any other, so the verdict is the same;
+- every statement node (either language, expressions included) keeps a
+  flag saying it holds no ``RuntimeVal``, no ``MethodLit`` naming a
+  ``condition_<k>`` method and no bool. Two such trees match exactly
+  when they are ``==``, so the structural walk stops there.
 """
 
 from __future__ import annotations
@@ -70,12 +87,38 @@ def _prim_eq(v, w) -> bool:
 def value_equiv(v, w, store, cn: AbsConfig, ctx: EquivContext = None, _seen=None) -> bool:
     """Least relation closed under the five equivalence-of-values rules."""
     ctx = ctx if ctx is not None else EquivContext()
-    seen = set() if _seen is None else _seen
-    key = (repr(v), id(w) if isinstance(w, Obj) else repr(w))
-    if key in seen:
-        return False
-    seen.add(key)
+    if _seen is not None:
+        key = _guard_key(v, w)
+        if key in _seen:
+            return False
+        _seen.add(key)
+    settled = _settle(v, w, ctx)
+    if settled is not None:
+        return settled
+    if _seen is None:
+        # the top-level call settles its base cases before building the
+        # cycle guard: against a fresh set the guard cannot fire there
+        _seen = {_guard_key(v, w)}
+    if isinstance(w, Loc) and w in store:
+        if value_equiv(v, store[w], store, cn, ctx, _seen):
+            return True
+    if isinstance(v, ObjRef) and isinstance(w, Obj):
+        cog = _chase_ground(w.fields.get("cog"), store, ctx)
+        ident = _chase_ground(w.fields.get("myId"), store, ctx)
+        return cog == ActRef(v.cog) and ident == v.ident
+    if isinstance(v, FutRef):
+        val = cn.futures.get(v.name, UNRESOLVED)
+        if val is not UNRESOLVED and value_equiv(val, w, store, cn, ctx, _seen):
+            return True
+    return False
 
+
+def _guard_key(v, w):
+    return repr(v), id(w) if isinstance(w, Obj) else repr(w)
+
+
+def _settle(v, w, ctx):
+    """The rules that never recurse: True or False, or None to go on."""
     if is_primitive(v) and is_primitive(w):
         return _prim_eq(v, w)
     if isinstance(v, ActRef) and isinstance(w, ActRef):
@@ -88,18 +131,7 @@ def value_equiv(v, w, store, cn: AbsConfig, ctx: EquivContext = None, _seen=None
             # fresh names is unambiguous; later conditions re-verify it
             return ctx.pair(v.name, w.name)
         # fall through: the cooperative side may chase a resolved future
-    if isinstance(w, Loc) and w in store:
-        if value_equiv(v, store[w], store, cn, ctx, seen):
-            return True
-    if isinstance(v, ObjRef) and isinstance(w, Obj):
-        cog = _chase_ground(w.fields.get("cog"), store, ctx)
-        ident = _chase_ground(w.fields.get("myId"), store, ctx)
-        return cog == ActRef(v.cog) and ident == v.ident
-    if isinstance(v, FutRef):
-        val = cn.futures.get(v.name, UNRESOLVED)
-        if val is not UNRESOLVED and value_equiv(val, w, store, cn, ctx, seen):
-            return True
-    return False
+    return None
 
 
 def _chase_ground(v, store, ctx=None):
@@ -146,26 +178,74 @@ def _predict_future(fname: str, ctx) -> object:
 # -- statement equivalence -----------------------------------------------------
 
 
-def _translate_tail(abs_stmts, ctx: EquivContext):
-    """Translate remaining runtime statements with a throwaway context."""
-    tctx = TranslationContext(prefix=ctx.prefix)
-    tctx.scope = ()
-    out = []
-    for s in abs_stmts:
+def _translated(s, prefix: str):
+    """``translate_statement(s)`` under a fresh context, memoized on the
+    (immutable) statement per prefix; None if it does not translate."""
+    memo = s.__dict__.get("_translated")
+    if memo is None:
+        memo = {}
+        object.__setattr__(s, "_translated", memo)
+    if prefix not in memo:
+        tctx = TranslationContext(prefix=prefix)
         try:
-            out.extend(translate_statement(s, tctx))
+            memo[prefix] = tuple(translate_statement(s, tctx))
         except Exception:
+            memo[prefix] = None
+    return memo[prefix]
+
+
+def _translate_tail(abs_stmts, ctx: EquivContext):
+    """Translate remaining runtime statements, each on its own."""
+    out = ()
+    for s in abs_stmts:
+        t = _translated(s, ctx.prefix)
+        if t is None:
             return None
-    return tuple(out)
+        out += t
+    return out
+
+
+def _is_plain(x) -> bool:
+    """Holds no RuntimeVal, no MethodLit naming a ``condition_<k>`` method
+    and no bool: such trees match exactly when they are ``==``
+    (``Lit(1) == Lit(True)`` in Python, which ``_stmts_match`` tells
+    apart). Memoized on statement nodes."""
+    plain = getattr(x, "_plain", None)
+    if plain is not None:
+        return plain
+    cls = x.__class__
+    if cls is tuple:
+        return all(_is_plain(y) for y in x)
+    if not hasattr(cls, "__dataclass_fields__"):
+        return cls is not bool
+    if cls is RuntimeVal:
+        plain = False
+    elif cls is MethodLit:
+        plain = not x.name.startswith("condition_")
+    else:
+        plain = all(
+            _is_plain(getattr(x, f)) for f in cls.__dataclass_fields__ if f != "pos"
+        )
+    object.__setattr__(x, "_plain", plain)
+    return plain
 
 
 def _stmts_match(a, b, store, cn, ctx) -> bool:
     """Structural equality of statement trees, comparing injected runtime
     values by value equivalence and condition-method names loosely."""
     if isinstance(a, tuple) and isinstance(b, tuple):
-        return len(a) == len(b) and all(
-            _stmts_match(x, y, store, cn, ctx) for x, y in zip(a, b)
-        )
+        if len(a) != len(b):
+            return False
+        # the plain suffix is one ``==``; the rest goes first, in order, as
+        # its value comparisons may pair futures
+        k = len(a)
+        while k and _is_plain(a[k - 1]) and _is_plain(b[k - 1]):
+            k -= 1
+        return all(
+            _stmts_match(x, y, store, cn, ctx) for x, y in zip(a[:k], b[:k])
+        ) and a[k:] == b[k:]
+    if _is_plain(a) and _is_plain(b):
+        return a == b
     if isinstance(b, RuntimeVal):
         if isinstance(a, (RuntimeVal, Lit)):
             return value_equiv(a.value, b.value, store, cn, ctx)

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 from .absm.runtime import AbsConfig
 from .absm.steps import abs_apply_step, abs_enabled_steps
 from .canon import canonicalize
-from .masp.runtime import MaspConfig
+from .masp.runtime import MaspConfig, Obj
 from .masp.steps import apply_step, enabled_steps, stuck_threads
 from .policy import ThreadAccount, compatible
 from .values import UNRESOLVED, FutRef, Loc
@@ -94,7 +94,7 @@ def explore(
     time_budget: float = None,
 ) -> ExplorationResult:
     """BFS up to ``depth`` levels, ``width`` distinct canonical states, or
-    ``time_budget`` seconds (checked between levels)."""
+    ``time_budget`` seconds (checked before each expansion)."""
     deadline = None if time_budget is None else time.monotonic() + time_budget
     enabled, apply_fn = _dispatch(config)
     result = ExplorationResult()
@@ -123,25 +123,27 @@ def explore(
                         }
                     )
 
+    def expand(cfg):
+        """Successors of ``cfg``, or None once the deadline has passed."""
+        if deadline is not None and time.monotonic() > deadline:
+            return None
+        return _expand(cfg, enabled, apply_fn, properties, mode)
+
     check_state(config, root)
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
         for _ in range(depth):
             if not frontier:
                 break
-            if deadline is not None and time.monotonic() > deadline:
-                result.frontier_truncated = True
-                break
-            work = [
-                (cfg, enabled, apply_fn, tuple(properties), mode)
-                for cfg, _ in frontier
-            ]
-            if pool is not None:
-                expanded = list(pool.map(lambda a: _expand(*a), work))
-            else:
-                expanded = [_expand(*a) for a in work]
+            expanded = (pool.map if pool is not None else map)(
+                expand, [cfg for cfg, _ in frontier]
+            )
             next_frontier = []
-            for (cfg, digest), (succs, notes) in zip(frontier, expanded):
+            for (cfg, digest), got in zip(frontier, expanded):
+                if got is None:
+                    result.frontier_truncated = True
+                    break
+                succs, notes = got
                 for prop_name, label, msg in notes:
                     result.property_violations.append(
                         {
@@ -169,6 +171,7 @@ def explore(
                     break
             if visited >= width:
                 result.frontier_truncated = True
+            if result.frontier_truncated:
                 break
             frontier = next_frontier
         else:
@@ -220,34 +223,50 @@ def _thread_limits(config: MaspConfig) -> list:
 def _store_closure(config: MaspConfig) -> list:
     out = []
     for name, act in config.activities.items():
-        def check_value(v, where):
-            if isinstance(v, Loc) and v not in act.store:
-                out.append(f"{name}: dangling {v} in {where}")
-            if isinstance(v, FutRef) and v.name not in config.futures:
-                out.append(f"{name}: unknown future {v.name} in {where}")
-
-        from .masp.runtime import Obj
-
-        for loc, storable in act.store.items():
-            if isinstance(storable, Obj):
-                for x, v in storable.fields.items():
-                    check_value(v, f"{loc}.{x}")
-            else:
-                check_value(storable, f"{loc}")
-        for fut, thread in act.current.items():
-            for frame in thread.stack:
-                for x, v in frame.locals.items():
-                    if isinstance(v, tuple):
-                        for w in v:
-                            check_value(w, f"{fut}:{x}")
-                    else:
-                        check_value(v, f"{fut}:{x}")
-            for a in thread.request.args:
-                check_value(a, f"{fut}:arg")
-        for q in act.queue:
-            for a in q.args:
-                check_value(a, f"{q.future}:arg")
+        for fut, detail in _closure_refs(act):
+            if fut is None or fut not in config.futures:
+                out.append(f"{name}: {detail}")
     return out
+
+
+def _closure_refs(act) -> tuple:
+    """What store closure checks in one activity, in walk order: a
+    dangling location as ``(None, detail)``, a future reference as
+    ``(name, detail)``, which holds only while the configuration binds
+    that future. Memoized on the (immutable) activity."""
+    refs = act.__dict__.get("_closure")
+    if refs is not None:
+        return refs
+    out = []
+
+    def check_value(v, where):
+        if isinstance(v, Loc) and v not in act.store:
+            out.append((None, f"dangling {v} in {where}"))
+        if isinstance(v, FutRef):
+            out.append((v.name, f"unknown future {v.name} in {where}"))
+
+    for loc, storable in act.store.items():
+        if isinstance(storable, Obj):
+            for x, v in storable.fields.items():
+                check_value(v, f"{loc}.{x}")
+        else:
+            check_value(storable, f"{loc}")
+    for fut, thread in act.current.items():
+        for frame in thread.stack:
+            for x, v in frame.locals.items():
+                if isinstance(v, tuple):
+                    for w in v:
+                        check_value(w, f"{fut}:{x}")
+                else:
+                    check_value(v, f"{fut}:{x}")
+        for a in thread.request.args:
+            check_value(a, f"{fut}:arg")
+    for q in act.queue:
+        for a in q.args:
+            check_value(a, f"{q.future}:arg")
+    refs = tuple(out)
+    object.__setattr__(act, "_closure", refs)
+    return refs
 
 
 def _fifo_integrity(old: MaspConfig, new: MaspConfig, label) -> list:

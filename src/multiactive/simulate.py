@@ -115,24 +115,28 @@ def _abs_rule_fragment(config, label) -> str:
     return "in"
 
 
-def _allowed_masp_labels(mcn, step_cog, base_activities):
-    """Silent-step candidates: the stepping cog's activity, activities
-    created during this match, and future updates anywhere."""
-    out = []
-    for l in enabled_steps(mcn, mode="explore"):
-        if l.rule == "Update" or l.activity == step_cog or l.activity not in base_activities:
-            out.append(l)
-    return out
+def _allowed_masp_labels(labels, step_cog, base_activities):
+    """Silent-step candidates among ``labels``, the steps enabled at some
+    configuration: the stepping cog's activity, activities created during
+    this match, and future updates anywhere."""
+    return [
+        l
+        for l in labels
+        if l.rule == "Update" or l.activity == step_cog or l.activity not in base_activities
+    ]
 
 
-def _try_prescribed(mcn, sequence, step_cog, base_activities):
-    """Apply a rule-name sequence greedily; None on ambiguity or absence."""
+def _try_prescribed(mcn, enabled, sequence, step_cog, base_activities):
+    """Apply a rule-name sequence greedily; None on ambiguity or absence.
+    ``enabled`` is ``enabled_steps(mcn)``."""
     path = []
     cur = mcn
     for rule in sequence:
+        if path:
+            enabled = enabled_steps(cur, mode="explore")
         cands = [
             l
-            for l in _allowed_masp_labels(cur, step_cog, base_activities)
+            for l in _allowed_masp_labels(enabled, step_cog, base_activities)
             if l.rule == rule
         ]
         if len(cands) != 1:
@@ -182,8 +186,9 @@ def _quick_mismatch(abs_succ, mcn) -> bool:
     return n_abs != n_masp
 
 
-def _match_forward(abs_succ, mcn, ctx, step_cog, bound):
-    """Find a silent multi-active sequence reaching an equivalent config.
+def _match_forward(abs_succ, mcn, enabled, ctx, step_cog, bound):
+    """Find a silent multi-active sequence reaching an equivalent config;
+    ``enabled`` is ``enabled_steps(mcn)``.
 
     Depth-first with silent-looking steps tried first: the additional
     steps never introduce concurrency, so the greedy descent almost
@@ -199,7 +204,9 @@ def _match_forward(abs_succ, mcn, ctx, step_cog, bound):
                 return cfg, path, ctx2
         if len(path) >= bound:
             continue
-        labels = _allowed_masp_labels(cfg, step_cog, base_activities)
+        if path:
+            enabled = enabled_steps(cfg, mode="explore")
+        labels = _allowed_masp_labels(enabled, step_cog, base_activities)
         labels.sort(key=lambda l: _label_priority(cfg, l), reverse=True)
         for label in labels:  # reversed: best candidates pop first
             succ = apply_step(cfg, label)
@@ -240,7 +247,11 @@ def check_forward_simulation(
             break
         if fuel <= 0:
             continue
-        for label in abs_enabled_steps(cn, mode="explore"):
+        abs_labels = abs_enabled_steps(cn, mode="explore")
+        # the same for every cooperative label: computed once per state
+        enabled = enabled_steps(mcn, mode="explore") if abs_labels else []
+        base_activities = set(mcn.activities)
+        for label in abs_labels:
             abs_succ = abs_apply_step(cn, label)
             report.steps_checked += 1
             if detect_future_of_future(abs_succ):
@@ -253,7 +264,7 @@ def check_forward_simulation(
             bound = 4 if fragment == "outside" else AUX_BOUND
             hit = None
             for seq in PRESCRIBED.get(label.rule, ()):
-                got = _try_prescribed(mcn, seq, label.activity, set(mcn.activities))
+                got = _try_prescribed(mcn, enabled, seq, label.activity, base_activities)
                 if got is None:
                     continue
                 cand, path = got
@@ -262,7 +273,7 @@ def check_forward_simulation(
                     hit = (cand, path, ctx2, "prescribed")
                     break
             if hit is None:
-                got = _match_forward(abs_succ, mcn, ctx, label.activity, bound)
+                got = _match_forward(abs_succ, mcn, enabled, ctx, label.activity, bound)
                 if got is not None:
                     hit = (*got, "bfs")
             if hit is None:

@@ -9,12 +9,12 @@ from multiactive.equiv import (
     value_equiv,
 )
 from multiactive.lang import parse_abs
-from multiactive.lang.ast_abs import AAssign, AReturn, ASkip
-from multiactive.lang.ast_expr import Binop, Lit, RuntimeVal
+from multiactive.lang.ast_abs import AAssign, AGet, AReturn, ASkip, aseq_list
+from multiactive.lang.ast_expr import Binop, Lit, RuntimeVal, Var
 from multiactive.lang.ast_masp import MAssign, MReturn, MSkip
 from multiactive.masp.engine import initial_config
 from multiactive.masp.runtime import Obj
-from multiactive.translate import translate_program
+from multiactive.translate import TranslationContext, translate_program, translate_statement
 from multiactive.values import UNRESOLVED, ActRef, FutRef, Loc, ObjRef
 
 from conftest import ABS_CORPUS, load_abs
@@ -78,6 +78,42 @@ def test_cyclic_store_is_safe():
 
 def test_stmt_equiv_skip():
     assert stmt_equiv((ASkip(), AReturn(Lit(None))), (MSkip(), MReturn(Lit(None))), {}, {}, _abs_cn())
+
+
+def test_stmt_equiv_tells_bool_from_int():
+    # Lit(1) == Lit(True) in Python; statement equivalence keeps them apart
+    abs_side = (AAssign("x", Lit(True)), AReturn(Lit(None)))
+    masp_side = (MAssign("x", Lit(1)), MReturn(Lit(None)))
+    assert not stmt_equiv(abs_side, masp_side, {}, {}, _abs_cn())
+
+
+def test_stmt_equiv_two_boolean_awaits():
+    # each statement is translated on its own, so both awaits name
+    # condition_1; one threaded context numbers them condition_1, condition_2
+    body = parse_abs(
+        "class C(v) { method m() { await v == 1; await v == 2; return v } } { }"
+    ).classes[0].methods[0].body
+    abs_side = tuple(aseq_list(body))
+    tctx = TranslationContext()
+    masp_side = tuple(s for a in abs_side for s in translate_statement(a, tctx))
+    assert "condition_2" in repr(masp_side)
+    assert stmt_equiv(abs_side, masp_side, {}, {}, _abs_cn())
+
+
+def test_stmt_equiv_translation_follows_the_prefix():
+    # the same statement objects, compared under two temporary prefixes
+    abs_side = (AAssign("x", AGet(Var("f"))), AReturn(Var("x")))
+
+    def translated(prefix):
+        tctx = TranslationContext(prefix=prefix)
+        return tuple(s for a in abs_side for s in translate_statement(a, tctx))
+
+    one, two = translated("§"), translated("§§")
+    assert one != two
+    for prefix, masp_side in (("§", one), ("§§", two)):
+        assert stmt_equiv(abs_side, masp_side, {}, {}, _abs_cn(), EquivContext(prefix=prefix))
+    assert not stmt_equiv(abs_side, two, {}, {}, _abs_cn(), EquivContext(prefix="§"))
+    assert not stmt_equiv(abs_side, one, {}, {}, _abs_cn(), EquivContext(prefix="§§"))
 
 
 def test_stmt_equiv_second_disjunct():

@@ -1,12 +1,19 @@
 """Bounded exploration, built-in properties, worker independence."""
 
+import importlib
+
 from multiactive.absm.engine import abs_initial_config
-from multiactive.explore import Property, default_properties, explore
+from multiactive.explore import MASP_PROPERTIES, Property, default_properties, explore
 from multiactive.lang import parse_masp
 from multiactive.masp.engine import initial_config
-from multiactive.masp.steps import apply_step
+from multiactive.masp.steps import apply_step, enabled_steps
+from multiactive.translate import translate_program
+from multiactive.values import FutRef
 
-from conftest import load_masp
+from conftest import load_abs, load_masp
+
+# the package re-exports the function ``explore`` under the module's name
+explore_mod = importlib.import_module("multiactive.explore")
 
 
 def test_empty_main_tiny_state_space():
@@ -120,3 +127,49 @@ def test_time_budget_truncates():
     cfg = initial_config(program)
     r = explore(cfg, depth=500, width=10**6, time_budget=0.0)
     assert r.frontier_truncated
+
+
+def test_time_budget_is_checked_within_a_level(monkeypatch):
+    # a fake clock that advances one second per expanded configuration
+    now = [0.0]
+    expansions = []
+    real_expand = explore_mod._expand
+
+    def expand(*args):
+        expansions.append(args[0])
+        now[0] += 1.0
+        return real_expand(*args)
+
+    monkeypatch.setattr(explore_mod.time, "monotonic", lambda: now[0])
+    monkeypatch.setattr(explore_mod, "_expand", expand)
+    cfg = initial_config(load_masp("peer_policy.masp"))
+    r = explore(cfg, depth=500, width=10**6, time_budget=6.5)
+    assert r.frontier_truncated
+    # expanded at clock readings 0 to 6, then stopped by the deadline
+    assert len(expansions) == 7
+    # inside a level: whole levels 0..d hold explore(depth=d) states
+    monkeypatch.undo()
+    whole = {explore(cfg, depth=d, width=10**6).states_visited for d in range(8)}
+    assert 7 not in whole
+
+
+def test_store_closure_sees_futures_dropped_around_a_shared_activity():
+    store_closure = next(p for p in MASP_PROPERTIES if p.name == "store-closure").state
+    cfg = initial_config(translate_program(load_abs("bank_account.abs")))
+    while not any(
+        isinstance(v, FutRef) for a in cfg.activities.values() for v in a.store.values()
+    ):
+        cfg = apply_step(cfg, enabled_steps(cfg)[0])
+    act, fut = next(
+        (a, v.name)
+        for a in cfg.activities.values()
+        for v in a.store.values()
+        if isinstance(v, FutRef)
+    )
+    assert store_closure(cfg) == []
+    # the successor shares the activity (and its memo) but drops the future
+    futures = {f: b for f, b in cfg.futures.items() if f != fut}
+    succ = cfg.update(futures=futures)
+    assert succ.activities[act.name] is act
+    assert any(f"unknown future {fut}" in m for m in store_closure(succ))
+    assert store_closure(cfg) == []

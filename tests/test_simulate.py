@@ -12,6 +12,8 @@ from multiactive.simulate import (
     check_forward_simulation,
 )
 
+from conftest import load_abs
+
 SIMPLE = """
 class Worker() { method job(n) { return n + 1 } }
 { vars w, f, r; w = new Worker(); f = w!job(5); await f?; r = f.get }
@@ -163,3 +165,30 @@ def test_report_json_shape(simple_forward):
         "failures",
     ):
         assert key in j
+
+
+# (direction, program, depth) -> (states, steps_checked, matched,
+# prescribed rows, outside_fragment) at width 10^4. A memo that changed
+# which match is found would move these counts.
+PINNED_REPORTS = {
+    ("forward", "mapreduce.abs", 16): (188, 407, 407, 273, 0),
+    ("backward", "mapreduce.abs", 20): (398, 579, 579, 0, 0),
+    ("forward", "chat.abs", 10): (19, 21, 21, 5, 0),
+    ("backward", "chat.abs", 16): (165, 221, 221, 0, 0),
+    ("forward", "bank_account.abs", 30): (53, 96, 88, 53, 8),
+}
+
+
+@pytest.mark.parametrize(
+    "case", sorted(PINNED_REPORTS), ids=lambda c: f"{c[0]}-{c[1]}-d{c[2]}"
+)
+def test_simulation_reports_are_pinned(case):
+    direction, name, depth = case
+    check = (
+        check_forward_simulation if direction == "forward" else check_backward_simulation
+    )
+    rep = check(load_abs(name), depth, 10_000)
+    prescribed = sum(1 for r in rep.rows if r.get("via") == "prescribed")
+    got = (rep.states, rep.steps_checked, rep.matched, prescribed, rep.outside_fragment)
+    assert got == PINNED_REPORTS[case]
+    assert rep.failures == [] and not rep.truncated and rep.skipped_restriction == 0
