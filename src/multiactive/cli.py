@@ -107,7 +107,6 @@ def _cmd_explore(args) -> int:
         depth=args.depth,
         width=args.width,
         properties=default_properties(config),
-        workers=args.workers,
     )
     if args.format == "json":
         print(json.dumps(result.to_json(), indent=2, sort_keys=True))
@@ -192,7 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--depth", type=int, default=60)
     p.add_argument("--width", type=int, default=100000)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.set_defaults(fn=_cmd_explore)
 

@@ -562,9 +562,12 @@ def config_equiv(
     for name, act in mcn.activities.items():
         if name not in cn.cogs and not _embryonic(act, ctx):
             return False, f"activity {name} has no cog", ctx
+    members = {cog: {} for cog in cn.cogs}
+    for o in cn.objects.values():
+        members.setdefault(o.name.cog, {})[o.name.ident] = o
     for cog in cn.cogs:
         act = mcn.activities[cog]
-        ok, reason = _cog_equiv(cn, mcn, cog, act, ctx, relaxed)
+        ok, reason = _cog_equiv(cn, mcn, cog, act, members[cog], ctx, relaxed)
         if not ok:
             return False, reason, ctx
     ok, reason = _futures_equiv(cn, mcn, ctx)
@@ -573,8 +576,8 @@ def config_equiv(
     return True, "", ctx
 
 
-def _cog_equiv(cn, mcn, cog, act, ctx, relaxed=False):
-    members = {o.name.ident: o for o in cn.objects.values() if o.name.cog == cog}
+def _cog_equiv(cn, mcn, cog, act, members, ctx, relaxed=False):
+    """``members``: the cog's objects by identifier."""
     # (1b)/(1c): objects against registered (or in-flight) copies
     witness = {}
     for ident, ob in members.items():
@@ -594,14 +597,23 @@ def _cog_equiv(cn, mcn, cog, act, ctx, relaxed=False):
         if ident not in members:
             return False, f"registered {ident} has no object in {cog}"
 
-    threads = list(act.current.values())
+    # execute threads and requests, each with the object it targets (which
+    # reads only the store and ctx.mcn, so it is computed once per call)
+    def target(req):
+        return _execute_ident(req, act.store, ctx)[0]
+
+    threads = act.current.values()
     active_exec = [
-        t for t in threads if t.state == "A" and _is_execute(t.request)
+        (t, target(t.request))
+        for t in threads
+        if t.state == "A" and _is_execute(t.request)
     ]
     passive_exec = [
-        t for t in threads if t.state == "P" and _is_execute(t.request)
+        (t, target(t.request))
+        for t in threads
+        if t.state == "P" and _is_execute(t.request)
     ]
-    queued_exec = [q for q in act.queue if _is_execute(q)]
+    queued_exec = [(q, target(q)) for q in act.queue if _is_execute(q)]
 
     used_passive, used_queued = set(), set()
     for ident, ob in sorted(members.items()):
@@ -610,11 +622,7 @@ def _cog_equiv(cn, mcn, cog, act, ctx, relaxed=False):
         if ob.active is not None:
             if "cont" in ob.active.locals:
                 return False, "outside-fragment: synchronous continuation"
-            match = [
-                t
-                for t in active_exec
-                if _execute_ident(t.request, act.store, ctx)[0] == ident
-            ]
+            match = [t for t, target_id in active_exec if target_id == ident]
             if len(match) != 1:
                 return False, f"object {ident}_{cog}: no matching active task"
             if not _task_equiv(
@@ -628,10 +636,8 @@ def _cog_equiv(cn, mcn, cog, act, ctx, relaxed=False):
             if "cont" in proc.locals or _is_continuation(proc):
                 return False, "outside-fragment: synchronous continuation"
             hit = None
-            for t in passive_exec:
-                if id(t) in used_passive:
-                    continue
-                if _execute_ident(t.request, act.store, ctx)[0] != ident:
+            for t, target_id in passive_exec:
+                if target_id != ident or id(t) in used_passive:
                     continue
                 if _task_equiv(
                     proc, t, act, cn, ctx.copy(), loc, ob, mcn.program, relaxed
@@ -644,11 +650,7 @@ def _cog_equiv(cn, mcn, cog, act, ctx, relaxed=False):
                 continue
             fresh.append(proc)
         # fresh processes must match this object's queued requests in order
-        mine = [
-            q
-            for q in queued_exec
-            if _execute_ident(q, act.store, ctx)[0] == ident
-        ]
+        mine = [q for q, target_id in queued_exec if target_id == ident]
         if len(fresh) != len(mine):
             return False, f"object {ident}_{cog}: queue length mismatch"
         for proc, req in zip(fresh, mine):

@@ -2,15 +2,13 @@
 
 Breadth-first over either configuration kind; property callbacks run at
 every state (and over every transition), every reported violation comes
-with a replayable witness path. Levels can be sharded across worker
-threads; discovery order is merged deterministically so results never
-depend on the worker count.
+with a replayable witness path. Discovery order is deterministic, so the
+same input always gives the same counts.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -89,7 +87,6 @@ def explore(
     depth: int = 50,
     width: int = 100000,
     properties=(),
-    workers: int = 1,
     mode: str = "explore",
     time_budget: float = None,
 ) -> ExplorationResult:
@@ -123,62 +120,48 @@ def explore(
                         }
                     )
 
-    def expand(cfg):
-        """Successors of ``cfg``, or None once the deadline has passed."""
-        if deadline is not None and time.monotonic() > deadline:
-            return None
-        return _expand(cfg, enabled, apply_fn, properties, mode)
-
     check_state(config, root)
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        for _ in range(depth):
-            if not frontier:
+    for _ in range(depth):
+        if not frontier:
+            break
+        next_frontier = []
+        for cfg, digest in frontier:
+            if deadline is not None and time.monotonic() > deadline:
+                result.frontier_truncated = True
                 break
-            expanded = (pool.map if pool is not None else map)(
-                expand, [cfg for cfg, _ in frontier]
-            )
-            next_frontier = []
-            for (cfg, digest), got in zip(frontier, expanded):
-                if got is None:
-                    result.frontier_truncated = True
-                    break
-                succs, notes = got
-                for prop_name, label, msg in notes:
-                    result.property_violations.append(
-                        {
-                            "property": prop_name,
-                            "digest": digest,
-                            "detail": msg,
-                            "witness": witness(digest) + [label.key()],
-                        }
-                    )
-                if not succs:
-                    unresolved, stuck = _terminal_info(cfg)
-                    result.terminal_states.append((digest, unresolved, stuck))
+            succs, notes = _expand(cfg, enabled, apply_fn, properties, mode)
+            for prop_name, label, msg in notes:
+                result.property_violations.append(
+                    {
+                        "property": prop_name,
+                        "digest": digest,
+                        "detail": msg,
+                        "witness": witness(digest) + [label.key()],
+                    }
+                )
+            if not succs:
+                unresolved, stuck = _terminal_info(cfg)
+                result.terminal_states.append((digest, unresolved, stuck))
+                continue
+            result.transitions += len(succs)
+            for label, succ, sd in succs:
+                if sd in parents:
                     continue
-                result.transitions += len(succs)
-                for label, succ, sd in succs:
-                    if sd in parents:
-                        continue
-                    parents[sd] = (digest, label)
-                    visited += 1
-                    check_state(succ, sd)
-                    next_frontier.append((succ, sd))
-                    if visited >= width:
-                        break
+                parents[sd] = (digest, label)
+                visited += 1
+                check_state(succ, sd)
+                next_frontier.append((succ, sd))
                 if visited >= width:
                     break
             if visited >= width:
-                result.frontier_truncated = True
-            if result.frontier_truncated:
                 break
-            frontier = next_frontier
-        else:
-            result.frontier_truncated = bool(frontier)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+        if visited >= width:
+            result.frontier_truncated = True
+        if result.frontier_truncated:
+            break
+        frontier = next_frontier
+    else:
+        result.frontier_truncated = bool(frontier)
     result.states_visited = visited
     return result
 

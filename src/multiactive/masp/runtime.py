@@ -2,7 +2,7 @@
 
 All structures are treated as immutable: step application builds new
 objects and copies any dict it touches, so configurations can be shared
-freely between exploration branches and worker threads.
+freely between exploration branches.
 """
 
 from __future__ import annotations

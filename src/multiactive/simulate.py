@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from .absm.engine import abs_initial_config
 from .absm.runtime import RGFut
 from .absm.steps import abs_apply_step, abs_enabled_steps, split_guard
-from .canon import abs_digest, abs_struct_key, masp_digest, masp_struct_key
+from .canon import abs_digest, masp_digest
 from .equiv import EquivContext, config_equiv
 from .lang.ast_abs import AAwait, GBool, AbsProgram
 from .lang.ast_masp import MIf
@@ -194,7 +194,7 @@ def _match_forward(abs_succ, mcn, enabled, ctx, step_cog, bound):
     steps never introduce concurrency, so the greedy descent almost
     always walks straight down the prescribed chain."""
     base_activities = set(mcn.activities)
-    seen = {masp_struct_key(mcn)}
+    seen = {masp_digest(mcn)}
     stack = [(mcn, [])]
     while stack:
         cfg, path = stack.pop()
@@ -210,7 +210,7 @@ def _match_forward(abs_succ, mcn, enabled, ctx, step_cog, bound):
         labels.sort(key=lambda l: _label_priority(cfg, l), reverse=True)
         for label in labels:  # reversed: best candidates pop first
             succ = apply_step(cfg, label)
-            d = masp_struct_key(succ)
+            d = masp_digest(succ)
             if d in seen:
                 continue
             seen.add(d)
@@ -515,13 +515,13 @@ def check_backward_simulation(
 
 def _backward_bfs(cn, masp_succ, ctx, bound: int = 4):
     frontier = [(cn, [])]
-    seen = {abs_struct_key(cn)}
+    seen = {abs_digest(cn)}
     for _ in range(bound):
         nxt = []
         for cfg, path in frontier:
             for label in abs_enabled_steps(cfg, mode="explore"):
                 succ = abs_apply_step(cfg, label)
-                d = abs_struct_key(succ)
+                d = abs_digest(succ)
                 if d in seen:
                     continue
                 seen.add(d)

@@ -6,14 +6,18 @@ import random
 import pytest
 from alphaoracle import abs_alpha_equiv, masp_alpha_equiv
 from multiactive.absm.engine import abs_initial_config
+from multiactive.absm.runtime import AbsConfig, Ob, Process
 from multiactive.absm.steps import abs_apply_step, abs_enabled_steps
 from multiactive.canon import abs_digest, masp_digest
 from multiactive.explore import explore
+from multiactive.lang.ast_abs import AReturn
+from multiactive.lang.ast_expr import Lit
+from multiactive.lang.ast_masp import MReturn
 from multiactive.masp.engine import initial_config
-from multiactive.masp.runtime import Activity, FutBinder, MaspConfig, Obj
+from multiactive.masp.runtime import Activity, Frame, FutBinder, MaspConfig, Obj, Request, Thread
 from multiactive.masp.steps import apply_step, enabled_steps
 from multiactive.translate import translate_program
-from multiactive.values import ActRef, FutRef, Loc
+from multiactive.values import UNRESOLVED, ActRef, FutRef, Loc, ObjRef
 
 from conftest import load_abs, load_masp
 
@@ -279,3 +283,155 @@ def test_exhaustive_state_counts_are_pinned(name, states, transitions):
     r = explore(config, depth=10**6, width=10**7)
     assert not r.frontier_truncated
     assert (r.states_visited, r.transitions) == (states, transitions)
+
+
+# -- tie-breaks no corpus program reaches -------------------------------------
+
+
+def _masp_variants(config):
+    """Alpha variants under every permutation of the activity names, with
+    the futures rotated and each activity's locations moved."""
+    acts, futs = list(config.activities), list(config.futures)
+    fut_map = dict(zip(futs, futs[1:] + futs[:1]))
+    for perm in itertools.permutations(acts):
+        shift = {a: 3 * i for i, a in enumerate(perm)}
+        yield _rename_masp(config, dict(zip(acts, perm)), fut_map, shift)
+
+
+def _assert_digest_is_alpha_invariant(config, variants, equiv, digest):
+    for trial, variant in enumerate(variants):
+        assert equiv(config, variant), trial
+        assert digest(variant) == digest(config), trial
+
+
+def _thread(future, method, locals_):
+    return Thread(Request(future, method, ()), "A", (Frame(locals_, (MReturn(Lit(None)),)),))
+
+
+def _look_alike_threads(x1, x2, boxes, main_locals):
+    """Activity a1 serves two requests whose threads have equal own
+    shapes; its store holds two boxes besides itself."""
+    main = Activity(
+        "a0", None, Loc(1), {Loc(1): Obj(None, {})},
+        {"f0": _thread("f0", "main", {"this": Loc(1), **main_locals})}, (), loc_counter=1,
+    )
+    store = {Loc(1): Obj("Peer", {"ident": 7})}
+    store.update({Loc(i + 2): Obj("Box", {"v": v}) for i, v in enumerate(boxes)})
+    peer = Activity(
+        "a1", "Peer", Loc(1), store,
+        {"f1": _thread("f1", "get", x1), "f2": _thread("f2", "get", x2)}, (), loc_counter=3,
+    )
+    futures = {"f0": FutBinder(method="main"), "f1": FutBinder(method="get"),
+               "f2": FutBinder(method="get")}
+    return MaspConfig(load_masp("peer_policy.masp"), {"a0": main, "a1": peer}, futures, 2, 3)
+
+
+def test_threads_with_equal_own_shapes():
+    refs = {"r1": FutRef("f1"), "r2": FutRef("f2")}
+    # told apart by where each uses the activity's own location
+    told_apart = _look_alike_threads(
+        {"x": Loc(2), "y": Loc(1)}, {"x": Loc(1), "y": Loc(3)}, (1, 2), refs
+    )
+    _assert_digest_is_alpha_invariant(
+        told_apart, _masp_variants(told_apart), masp_alpha_equiv, masp_digest
+    )
+    swapped = _look_alike_threads(
+        {"x": Loc(2), "y": Loc(1)}, {"x": Loc(1), "y": Loc(3)}, (2, 1), refs
+    )
+    assert not masp_alpha_equiv(told_apart, swapped)
+    assert masp_digest(swapped) != masp_digest(told_apart)
+    # interchangeable: nothing else names either thread or its box
+    alike = _look_alike_threads({"x": Loc(2)}, {"x": Loc(3)}, (1, 1), {})
+    _assert_digest_is_alpha_invariant(alike, _masp_variants(alike), masp_alpha_equiv, masp_digest)
+    assert masp_digest(alike) != masp_digest(_look_alike_threads({"x": Loc(2)}, {"x": Loc(2)}, (1, 1), {}))
+
+
+def _unreferenced_binders(second):
+    """Two resolved binders no activity names, whose values name the
+    activities a1 and ``second``."""
+    p = load_masp("peer_policy.masp")
+    acts = {
+        "a0": Activity(
+            "a0", None, Loc(1), {Loc(1): Obj(None, {})},
+            {"f0": _thread("f0", "main", {"this": Loc(1)})}, (), loc_counter=1,
+        ),
+        "a1": Activity("a1", "Peer", Loc(1), {Loc(1): Obj("Peer", {"ident": 7})}, {}, (), loc_counter=1),
+        "a2": Activity("a2", "Box", Loc(1), {Loc(1): Obj("Box", {"v": 1})}, {}, (), loc_counter=1),
+    }
+    futures = {
+        "f0": FutBinder(method="main"),
+        "f1": FutBinder(ActRef("a1"), {}, "get"),
+        "f2": FutBinder(ActRef(second), {}, "get"),
+    }
+    return MaspConfig(p, acts, futures, 3, 3)
+
+
+def test_unreferenced_binders_whose_shapes_tie():
+    config = _unreferenced_binders("a2")
+    _assert_digest_is_alpha_invariant(config, _masp_variants(config), masp_alpha_equiv, masp_digest)
+    both_a1 = _unreferenced_binders("a1")
+    assert not masp_alpha_equiv(config, both_a1)
+    assert masp_digest(both_a1) != masp_digest(config)
+
+
+def _look_alike_cogs(x, y):
+    """Cogs a1 and a2 each hold one Worker naming the other; the main
+    process holds ``x`` and ``y``."""
+    ret = (AReturn(Lit(None)),)
+    main = ObjRef(0, "a0")
+    objects = {
+        main: Ob(main, None, {"cog": ActRef("a0")},
+                 Process({"this": main, "destiny": FutRef("f0"), "x": x, "y": y}, ret), ()),
+    }
+    for me, other in (("a1", "a2"), ("a2", "a1")):
+        ref = ObjRef(1, me)
+        objects[ref] = Ob(ref, "Worker", {"cog": ActRef(me), "peer": ObjRef(1, other)}, None, ())
+    return AbsConfig(
+        load_abs("bank_account.abs"), objects, {"a0": main, "a1": None, "a2": None},
+        {"f0": UNRESOLVED}, 3, 1, {"a0": 1, "a1": 2, "a2": 2},
+    )
+
+
+def _rename_abs(config, cog_map, fut_map):
+    """Consistent renaming of cogs and futures, everything listed in
+    reverse order (the hand-built processes hold no runtime values)."""
+
+    def val(v):
+        if isinstance(v, ActRef):
+            return ActRef(cog_map[v.name])
+        if isinstance(v, ObjRef):
+            return ObjRef(v.ident, cog_map[v.cog])
+        if isinstance(v, FutRef):
+            return FutRef(fut_map[v.name])
+        return v
+
+    def proc(p):
+        return None if p is None else Process({k: val(v) for k, v in p.locals.items()}, p.stmts)
+
+    objects = {}
+    for ref, ob in reversed(config.objects.items()):
+        objects[val(ref)] = Ob(
+            val(ref), ob.cls, {k: val(v) for k, v in ob.fields.items()},
+            proc(ob.active), tuple(proc(p) for p in ob.queue),
+        )
+    return AbsConfig(
+        config.program, objects,
+        {cog_map[c]: val(a) for c, a in reversed(config.cogs.items())},
+        {fut_map[f]: val(v) for f, v in reversed(config.futures.items())},
+        config.cog_counter, config.fut_counter,
+        {cog_map[c]: n for c, n in config.id_counters.items()},
+    )
+
+
+def test_look_alike_cogs():
+    told_apart = _look_alike_cogs(ObjRef(1, "a1"), ObjRef(1, "a2"))
+    alike = _look_alike_cogs(None, None)
+    for config in (told_apart, alike):
+        variants = (
+            _rename_abs(config, dict(zip(config.cogs, perm)), {"f0": "f0"})
+            for perm in itertools.permutations(config.cogs)
+        )
+        _assert_digest_is_alpha_invariant(config, variants, abs_alpha_equiv, abs_digest)
+    same_twice = _look_alike_cogs(ObjRef(1, "a1"), ObjRef(1, "a1"))
+    assert not abs_alpha_equiv(told_apart, same_twice)
+    assert abs_digest(same_twice) != abs_digest(told_apart)

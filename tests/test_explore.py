@@ -78,16 +78,6 @@ def test_deadlocked_terminals_flagged():
     assert all(unresolved > 0 for _, unresolved, _ in r.terminal_states)
 
 
-def test_worker_count_does_not_change_counts():
-    program = load_masp("circular_soft.masp")
-    cfg = initial_config(program)
-    r1 = explore(cfg, depth=120, width=20000, workers=1)
-    r4 = explore(cfg, depth=120, width=20000, workers=4)
-    assert r1.states_visited == r4.states_visited
-    assert r1.transitions == r4.transitions
-    assert sorted(r1.terminal_states) == sorted(r4.terminal_states)
-
-
 def test_violation_witness_replays():
     # a property that is deliberately false somewhere: flag any Serve
     program = load_masp("peer_policy.masp")
