@@ -7,12 +7,12 @@ or stay unresolved. Immutability discipline as in the sibling engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from ..lang.ast_abs import AbsMethod, AbsProgram, AReturn, aseq_list
 from ..lang.ast_expr import Lit
-from ..values import FutRef, ObjRef
+from ..values import FutRef, ObjRef, evolve
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,7 @@ class Ob:
     queue: Tuple[Process, ...]
 
     def update(self, **kw) -> "Ob":
-        return replace(self, **kw)
+        return evolve(self, kw)
 
     @property
     def cog(self) -> str:
@@ -63,12 +63,14 @@ class AbsConfig:
     id_counters: dict = field(default_factory=dict)  # cog -> next object id
 
     def update(self, **kw) -> "AbsConfig":
-        return replace(self, **kw)
+        return evolve(self, kw)
 
-    def with_object(self, ob: Ob) -> "AbsConfig":
-        objs = dict(self.objects)
-        objs[ob.name] = ob
-        return self.update(objects=objs)
+    def with_object(self, *obs: Ob, **kw) -> "AbsConfig":
+        """Successor with ``obs`` put in place by name and ``kw`` changed."""
+        objects = dict(self.objects)
+        for ob in obs:
+            objects[ob.name] = ob
+        return evolve(self, {**kw, "objects": objects})
 
 
 def flatten_abs_body(stmt) -> tuple:

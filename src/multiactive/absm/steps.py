@@ -55,12 +55,12 @@ def split_guard(g):
 
 
 def abs_enabled_steps(config: AbsConfig, mode: str = "explore") -> list:
+    by_cog = {}
+    for o in config.objects.values():
+        by_cog.setdefault(o.name.cog, []).append(o)
     labels = []
     for cog, active_name in config.cogs.items():
-        members = sorted(
-            (o for o in config.objects.values() if o.name.cog == cog),
-            key=lambda o: o.name.ident,
-        )
+        members = sorted(by_cog.get(cog, ()), key=lambda o: o.name.ident)
         for ob in members:
             if ob.active is not None and active_name == ob.name:
                 labels.extend(_process_labels(config, ob, mode))
@@ -400,7 +400,7 @@ def _apply_activate(config, label):
     proc, rest = ob.queue[0], ob.queue[1:]
     cogs = dict(config.cogs)
     cogs[label.activity] = ob.name
-    return config.with_object(ob.update(active=proc, queue=rest)).update(cogs=cogs)
+    return config.with_object(ob.update(active=proc, queue=rest), cogs=cogs)
 
 
 def _apply_read_fut(config, label):
@@ -434,8 +434,8 @@ def _apply_new_object(config, label):
     fields["cog"] = ActRef(cog)
     new_ob = Ob(name, cls.name, fields, None, ())
     stmts = (AAssign(head.target, RuntimeVal(name)),) + ob.active.stmts[1:]
-    cfg = config.with_object(ob.update(active=ob.active.with_stmts(stmts)))
-    return cfg.with_object(new_ob).update(id_counters=counters)
+    caller = ob.update(active=ob.active.with_stmts(stmts))
+    return config.with_object(caller, new_ob, id_counters=counters)
 
 
 def _apply_new_cog_object(config, label):
@@ -458,9 +458,9 @@ def _apply_new_cog_object(config, label):
     cogs = dict(config.cogs)
     cogs[new_cog] = None
     stmts = (AAssign(head.target, RuntimeVal(name)),) + ob.active.stmts[1:]
-    cfg = config.with_object(ob.update(active=ob.active.with_stmts(stmts)))
-    return cfg.with_object(new_ob).update(
-        cogs=cogs, cog_counter=config.cog_counter + 1, id_counters=counters
+    caller = ob.update(active=ob.active.with_stmts(stmts))
+    return config.with_object(
+        caller, new_ob, cogs=cogs, cog_counter=config.cog_counter + 1, id_counters=counters
     )
 
 
@@ -478,12 +478,13 @@ def _apply_rendez_vous(config, label):
     _expect(bound is not None, label)
     stmts = (AAssign(head.target, RuntimeVal(FutRef(fut))),) + ob.active.stmts[1:]
     caller = ob.update(active=ob.active.with_stmts(stmts))
-    cfg = config.with_object(caller)
-    callee = cfg.objects[target]  # caller may be the callee
-    cfg = cfg.with_object(callee.update(queue=callee.queue + (bound,)))
-    futures = dict(cfg.futures)
+    callee = caller if target == ob.name else config.objects[target]
+    callee = callee.update(queue=callee.queue + (bound,))
+    futures = dict(config.futures)
     futures[fut] = UNRESOLVED
-    return cfg.update(futures=futures, fut_counter=config.fut_counter + 1)
+    return config.with_object(
+        caller, callee, futures=futures, fut_counter=config.fut_counter + 1
+    )
 
 
 def _apply_cog_sync_call(config, label):
@@ -511,9 +512,9 @@ def _apply_cog_sync_call(config, label):
     cogs[label.activity] = target
     futures = dict(config.futures)
     futures[fut] = UNRESOLVED
-    cfg = config.with_object(caller).with_object(callee.update(active=bound))
-    return cfg.update(
-        cogs=cogs, futures=futures, fut_counter=config.fut_counter + 1
+    callee = callee.update(active=bound)
+    return config.with_object(
+        caller, callee, cogs=cogs, futures=futures, fut_counter=config.fut_counter + 1
     )
 
 
@@ -535,10 +536,8 @@ def _apply_self_sync_call(config, label):
     continuation = Process(ob.active.locals, cont_stmts)
     futures = dict(config.futures)
     futures[fut] = UNRESOLVED
-    cfg = config.with_object(
-        ob.update(active=bound, queue=ob.queue + (continuation,))
-    )
-    return cfg.update(futures=futures, fut_counter=config.fut_counter + 1)
+    ob = ob.update(active=bound, queue=ob.queue + (continuation,))
+    return config.with_object(ob, futures=futures, fut_counter=config.fut_counter + 1)
 
 
 def _apply_rem_sync_call(config, label):
@@ -559,10 +558,10 @@ def _apply_rem_sync_call(config, label):
     caller = ob.update(active=ob.active.with_stmts(stmts))
     futures = dict(config.futures)
     futures[fut] = UNRESOLVED
-    cfg = config.with_object(caller)
-    callee = cfg.objects[target]
-    cfg = cfg.with_object(callee.update(queue=callee.queue + (bound,)))
-    return cfg.update(futures=futures, fut_counter=config.fut_counter + 1)
+    callee = callee.update(queue=callee.queue + (bound,))
+    return config.with_object(
+        caller, callee, futures=futures, fut_counter=config.fut_counter + 1
+    )
 
 
 def _apply_return(config, label):
@@ -577,7 +576,7 @@ def _apply_return(config, label):
     _expect(config.futures.get(dest.name, None) is UNRESOLVED, label)
     futures = dict(config.futures)
     futures[dest.name] = v
-    return config.with_object(ob.update(active=None)).update(futures=futures)
+    return config.with_object(ob.update(active=None), futures=futures)
 
 
 def _resolve_destiny(config, ob):
@@ -602,9 +601,7 @@ def _apply_self_sync_return(config, label):
     _expect(proc.locals.get("destiny") == cont, label)
     futures = _resolve_destiny(config, ob)
     queue = ob.queue[:pos] + ob.queue[pos + 1 :]
-    return config.with_object(ob.update(active=proc, queue=queue)).update(
-        futures=futures
-    )
+    return config.with_object(ob.update(active=proc, queue=queue), futures=futures)
 
 
 def _apply_cog_sync_return(config, label):
@@ -624,9 +621,8 @@ def _apply_cog_sync_return(config, label):
     queue = other.queue[:pos] + other.queue[pos + 1 :]
     cogs = dict(config.cogs)
     cogs[label.activity] = other.name
-    cfg = config.with_object(ob.update(active=None))
-    cfg = cfg.with_object(other.update(active=proc, queue=queue))
-    return cfg.update(futures=futures, cogs=cogs)
+    other = other.update(active=proc, queue=queue)
+    return config.with_object(ob.update(active=None), other, futures=futures, cogs=cogs)
 
 
 _RULES = {

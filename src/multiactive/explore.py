@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Callable, Optional
 
 from .absm.runtime import AbsConfig
 from .absm.steps import abs_apply_step, abs_enabled_steps
 from .canon import canonicalize
+from .masp.evalfn import ground
 from .masp.runtime import MaspConfig, Obj
 from .masp.steps import apply_step, enabled_steps, stuck_threads
 from .policy import ThreadAccount, compatible
@@ -169,38 +171,54 @@ def explore(
 # -- built-in properties --------------------------------------------------------
 
 
-def _safe_parallelism(config: MaspConfig) -> list:
+def _per_activity(check):
+    """A state property that runs ``check`` on each activity, memoizing
+    its messages on the (immutable) activity: ``check`` reads only it."""
+    key = f"_{check.__name__}"
+
+    def prop(config: MaspConfig) -> list:
+        out = []
+        for act in config.activities.values():
+            msgs = act.__dict__.get(key)
+            if msgs is None:
+                msgs = tuple(check(act))
+                object.__setattr__(act, key, msgs)
+            out.extend(msgs)
+        return out
+
+    return prop
+
+
+def _parallelism(act) -> list:
     """Any two requests served in parallel are compatible."""
-    from .masp.evalfn import ground
-
+    g = lambda v: ground(v, act.store)
     out = []
-    for name, act in config.activities.items():
-        threads = list(act.current.values())
-        g = lambda v: ground(v, act.store)
-        for i in range(len(threads)):
-            for j in range(i + 1, len(threads)):
-                q, q2 = threads[i].request, threads[j].request
-                if not compatible(q, q2, act.policy, g):
-                    out.append(
-                        f"{name}: incompatible requests {q.method} and {q2.method} in parallel"
-                    )
+    for t, t2 in combinations(act.current.values(), 2):
+        q, q2 = t.request, t2.request
+        if not compatible(q, q2, act.policy, g):
+            out.append(
+                f"{act.name}: incompatible requests {q.method} and {q2.method} in parallel"
+            )
     return out
 
 
-def _thread_limits(config: MaspConfig) -> list:
+def _limits(act) -> list:
+    acc = ThreadAccount.of_activity(act)
+    pol = act.policy.policy
     out = []
-    for name, act in config.activities.items():
-        acc = ThreadAccount.of_activity(act)
-        pol = act.policy.policy
-        if pol.thread_pool_size is not None and acc.total_active > pol.thread_pool_size:
-            out.append(f"{name}: {acc.total_active} active threads over the pool")
-        for decl in pol.groups:
-            if decl.max_threads is None:
-                continue
-            n = acc.per_group_active.get(decl.name, 0)
-            if n > decl.max_threads:
-                out.append(f"{name}: group {decl.name} has {n} active threads")
+    if pol.thread_pool_size is not None and acc.total_active > pol.thread_pool_size:
+        out.append(f"{act.name}: {acc.total_active} active threads over the pool")
+    for decl in pol.groups:
+        if decl.max_threads is None:
+            continue
+        n = acc.per_group_active.get(decl.name, 0)
+        if n > decl.max_threads:
+            out.append(f"{act.name}: group {decl.name} has {n} active threads")
     return out
+
+
+_safe_parallelism = _per_activity(_parallelism)
+_thread_limits = _per_activity(_limits)
 
 
 def _store_closure(config: MaspConfig) -> list:
@@ -257,11 +275,13 @@ def _fifo_integrity(old: MaspConfig, new: MaspConfig, label) -> list:
     out = []
     for name, act in new.activities.items():
         before = old.activities.get(name)
-        if before is None:
+        if before is None or before is act:
             continue
         new_order = [q.future for q in act.queue]
-        old_order = [q.future for q in before.queue if q.future in set(new_order)]
-        filtered = [f for f in new_order if f in set(old_order)]
+        new_set = set(new_order)
+        old_order = [q.future for q in before.queue if q.future in new_set]
+        old_set = set(old_order)
+        filtered = [f for f in new_order if f in old_set]
         if filtered != old_order:
             out.append(f"{name}: queue order changed under {label.rule}")
     return out
@@ -313,20 +333,23 @@ def _destiny_totality(config: AbsConfig) -> list:
 
 
 def _fresh_fifo(old: AbsConfig, new: AbsConfig, label) -> list:
+    def dests(o):
+        return [
+            p.locals.get("destiny").name
+            for p in o.queue
+            if isinstance(p.locals.get("destiny"), FutRef)
+        ]
+
     out = []
     for name, ob in new.objects.items():
         before = old.objects.get(name)
-        if before is None:
+        if before is None or before is ob:
             continue
-        def dests(o):
-            return [
-                p.locals.get("destiny").name
-                for p in o.queue
-                if isinstance(p.locals.get("destiny"), FutRef)
-            ]
         new_order = dests(ob)
-        old_order = [f for f in dests(before) if f in set(new_order)]
-        filtered = [f for f in new_order if f in set(old_order)]
+        new_set = set(new_order)
+        old_order = [f for f in dests(before) if f in new_set]
+        old_set = set(old_order)
+        filtered = [f for f in new_order if f in old_set]
         if filtered != old_order:
             out.append(f"{name}: pending order changed under {label.rule}")
     return out

@@ -3,17 +3,25 @@
 All structures are treated as immutable: step application builds new
 objects and copies any dict it touches, so configurations can be shared
 freely between exploration branches.
+
+Because an `Activity` never changes, other modules memoize what they
+derive from it on the instance itself, outside the dataclass fields:
+`steps` its own enabled labels and future cells (`_labels`, which read
+only the activity and the program), `canon` its shape (`_canon`) and
+`explore` what its store-closure, safe-parallelism and thread-limits
+checks find. `update` copies only the fields, so no memo reaches a
+successor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from ..lang.ast_expr import Lit
 from ..lang.ast_masp import MaspMethod, MaspProgram, MReturn, mseq_list
 from ..policy import DEFAULT_POLICY, ResolvedPolicy, cog_policy, resolve_policy
-from ..values import UNRESOLVED, Loc
+from ..values import UNRESOLVED, Loc, evolve
 
 # methods of the COG class whose bodies live in the engine
 NATIVE_ARITY = {"freshId": 0, "register": 2, "retrieve": 1}
@@ -93,7 +101,7 @@ class Activity:
     registry: dict = field(default_factory=dict)  # object id -> Loc
 
     def update(self, **kw) -> "Activity":
-        return replace(self, **kw)
+        return evolve(self, kw)
 
 
 @dataclass(frozen=True)
@@ -105,12 +113,14 @@ class MaspConfig:
     fut_counter: int = 1
 
     def update(self, **kw) -> "MaspConfig":
-        return replace(self, **kw)
+        return evolve(self, kw)
 
-    def with_activity(self, act: Activity) -> "MaspConfig":
-        acts = dict(self.activities)
-        acts[act.name] = act
-        return self.update(activities=acts)
+    def with_activity(self, *acts: Activity, **kw) -> "MaspConfig":
+        """Successor with ``acts`` put in place by name and ``kw`` changed."""
+        activities = dict(self.activities)
+        for act in acts:
+            activities[act.name] = act
+        return evolve(self, {**kw, "activities": activities})
 
 
 def flatten_body(stmt) -> tuple:

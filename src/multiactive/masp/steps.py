@@ -3,6 +3,10 @@
 `enabled_steps` enumerates every applicable rule instance; `apply_step`
 applies one. Each rule rewrites only the activities and futures it
 mentions, leaving the rest of the configuration shared.
+
+Every rule but `Update` reads only its own activity and the program, so
+each `Activity` memoizes its own labels and future cells (`_labels`);
+a state adds only the `Update` labels that its futures allow.
 """
 
 from __future__ import annotations
@@ -117,42 +121,66 @@ def enabled_steps(config: MaspConfig, mode: str = "explore") -> list:
 
     In ``run`` mode, thread activations are offered only when the thread
     can make progress (its blocking future was updated locally).
+
+    Per activity: its memoized own labels, then one ``Update`` per future
+    cell whose future this configuration has resolved, by location.
     """
     labels = []
+    futures = config.futures
     for name, act in config.activities.items():
-        g = _grounder(act.store)
-        sched = []
-        for idx, q in enumerate(act.queue):
-            if not _serve_possible(config, act, q):
-                continue
-            if serve_admissible(act, idx, g):
-                sched.append(
-                    (act.policy.group_of(q.method), Label("Serve", name, q.future, (idx,)))
-                )
-        for fut, thread in act.current.items():
-            if thread.state == "P" and activate_admissible(act, fut):
-                if mode == "run" and not _progresses(config, act, thread):
-                    continue
-                sched.append(
-                    (
-                        act.policy.group_of(thread.request.method),
-                        Label("Activate-Thread", name, fut),
-                    )
-                )
-        labels.extend(priority_filter(act.policy, sched))
-        for fut, thread in act.current.items():
-            if thread.state != "A":
-                continue
-            lab = _thread_label(config, act, fut, thread)
-            if lab is not None:
-                labels.append(lab)
-        for loc in sorted(act.store, key=lambda l: l.index):
-            storable = act.store[loc]
-            if isinstance(storable, FutRef):
-                binder = config.futures.get(storable.name)
-                if binder is not None and binder.resolved:
-                    labels.append(Label("Update", name, storable.name, (loc.index,)))
+        own, cells = _activity_labels(config, act, mode)
+        labels.extend(own)
+        for index, fut in cells:
+            binder = futures.get(fut)
+            if binder is not None and binder.resolved:
+                labels.append(Label("Update", name, fut, (index,)))
     return labels
+
+
+def _activity_labels(config, act, mode) -> tuple:
+    """An activity's labels apart from ``Update``, and its future cells as
+    ``(location index, future name)`` pairs in index order.
+
+    Every rule but ``Update`` reads only the activity and the program, so
+    the result is memoized on the (immutable) activity, for the last mode
+    asked, and reused while the configuration runs the same program.
+    """
+    hit = act.__dict__.get("_labels")
+    if hit is not None and hit[0] == mode and hit[1] is config.program:
+        return hit[2]
+    name = act.name
+    g = _grounder(act.store)
+    sched = []
+    for idx, q in enumerate(act.queue):
+        if not _serve_possible(config, act, q):
+            continue
+        if serve_admissible(act, idx, g):
+            sched.append(
+                (act.policy.group_of(q.method), Label("Serve", name, q.future, (idx,)))
+            )
+    for fut, thread in act.current.items():
+        if thread.state == "P" and activate_admissible(act, fut):
+            if mode == "run" and not _progresses(config, act, thread):
+                continue
+            sched.append(
+                (
+                    act.policy.group_of(thread.request.method),
+                    Label("Activate-Thread", name, fut),
+                )
+            )
+    own = priority_filter(act.policy, sched)
+    for fut, thread in act.current.items():
+        if thread.state != "A":
+            continue
+        lab = _thread_label(config, act, fut, thread)
+        if lab is not None:
+            own.append(lab)
+    cells = sorted(
+        (loc.index, s.name) for loc, s in act.store.items() if s.__class__ is FutRef
+    )
+    result = (tuple(own), tuple(cells))
+    object.__setattr__(act, "_labels", (mode, config.program, result))
+    return result
 
 
 def _serve_possible(config, act, q) -> bool:
@@ -261,9 +289,9 @@ def _invoke_label(config, act, fut, thread, frame, inv) -> Optional[Label]:
                 return Label("Invk-Future", name, fut)
             return None  # hard limit: wait-by-necessity blocks the thread
         if isinstance(storable, Obj):
-            if _invoke_args(act, frame, inv) is None:
-                return None
             args = _invoke_args(act, frame, inv)
+            if args is None:
+                return None
             if is_native(storable.cls, method):
                 if not native_ready(act, method, args):
                     return None
@@ -310,10 +338,11 @@ def _expect(cond, label):
         raise EngineFault(f"step not enabled: {label.key()}")
 
 
-def _set_thread(act, thread) -> Activity:
+def _set_thread(act, thread, **kw) -> Activity:
+    """The activity with ``thread`` put in place and ``kw`` changed."""
     cur = dict(act.current)
     cur[thread.request.future] = thread
-    return act.update(current=cur)
+    return act.update(current=cur, **kw)
 
 
 def _pop_head(thread) -> Thread:
@@ -366,7 +395,7 @@ def _apply_set_limit(config, label):
     _expect(isinstance(head, MSetLimit), label)
     kind = "H" if label.rule == "Set-Hard-Limit" else "S"
     _expect(head.kind == kind, label)
-    act2 = _set_thread(act, _pop_head(th)).update(limit=kind)
+    act2 = _set_thread(act, _pop_head(th), limit=kind)
     return config.with_activity(act2)
 
 
@@ -411,7 +440,7 @@ def _apply_assign_field(config, label):
     _expect(v is not UNDEFINED, label)
     store = dict(act.store)
     store[this_loc] = obj.with_field(head.target, v)
-    act2 = _set_thread(act.update(store=store), _pop_head(th))
+    act2 = _set_thread(act, _pop_head(th), store=store)
     return config.with_activity(act2)
 
 
@@ -429,9 +458,7 @@ def _apply_new_object(config, label):
     store = dict(act.store)
     store[loc] = Obj(cls.name, dict(zip(cls.fields, args)))
     th2 = _replace_head(th, MAssign(head.target, RuntimeVal(loc)))
-    act2 = _set_thread(
-        act.update(store=store, loc_counter=act.loc_counter + 1), th2
-    )
+    act2 = _set_thread(act, th2, store=store, loc_counter=act.loc_counter + 1)
     return config.with_activity(act2)
 
 
@@ -466,10 +493,9 @@ def _apply_new_active(config, label):
         registry={},
     )
     th2 = _replace_head(th, MAssign(head.target, RuntimeVal(ActRef(beta))))
-    acts = dict(config.activities)
-    acts[act.name] = _set_thread(act, th2)
-    acts[beta] = new_act
-    return config.update(activities=acts, act_counter=config.act_counter + 1)
+    return config.with_activity(
+        _set_thread(act, th2), new_act, act_counter=config.act_counter + 1
+    )
 
 
 def _invoke_parts(config, act, th, label):
@@ -509,16 +535,11 @@ def _apply_invk_active(config, label):
         loc_counter=counter,
     )
     th2 = _replace_head(th, MAssign(head.target, RuntimeVal(o_fut)))
-    caller2 = _set_thread(
-        act.update(store=store, loc_counter=act.loc_counter + 1), th2
-    )
-    acts = dict(config.activities)
-    acts[act.name] = caller2
-    acts[callee2.name] = callee2
+    caller2 = _set_thread(act, th2, store=store, loc_counter=act.loc_counter + 1)
     futures = dict(config.futures)
     futures[fut] = FutBinder(method=method)
-    return config.update(
-        activities=acts, futures=futures, fut_counter=config.fut_counter + 1
+    return config.with_activity(
+        caller2, callee2, futures=futures, fut_counter=config.fut_counter + 1
     )
 
 
@@ -540,17 +561,16 @@ def _apply_invk_active_self(config, label):
     store.update(piece_r)
     th2 = _replace_head(th, MAssign(head.target, RuntimeVal(o_fut)))
     act2 = _set_thread(
-        act.update(
-            store=store,
-            loc_counter=counter,
-            queue=act.queue + (Request(fut, method, args_r),),
-        ),
+        act,
         th2,
+        store=store,
+        loc_counter=counter,
+        queue=act.queue + (Request(fut, method, args_r),),
     )
     futures = dict(config.futures)
     futures[fut] = FutBinder(method=method)
-    return config.with_activity(act2).update(
-        futures=futures, fut_counter=config.fut_counter + 1
+    return config.with_activity(
+        act2, futures=futures, fut_counter=config.fut_counter + 1
     )
 
 
@@ -579,8 +599,7 @@ def _apply_invk_passive(config, label):
         new_frame = Frame({"this": target}, (MReturn(RuntimeVal(None)),))
     interrupted = frame.with_stmts((MHole(head.target),) + frame.stmts[1:])
     th2 = Thread(th.request, th.state, (new_frame, interrupted) + th.stack[1:])
-    act2 = _set_thread(act.update(**updates) if updates else act, th2)
-    return config.with_activity(act2)
+    return config.with_activity(_set_thread(act, th2, **updates))
 
 
 def _apply_invk_future(config, label):
@@ -630,8 +649,7 @@ def _apply_return(config, label):
     futures[fut] = FutBinder(value=v, piece=piece, method=binder.method)
     cur = dict(act.current)
     del cur[fut]
-    act2 = act.update(current=cur)
-    return config.with_activity(act2).update(futures=futures)
+    return config.with_activity(act.update(current=cur), futures=futures)
 
 
 def _apply_update(config, label):

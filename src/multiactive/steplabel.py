@@ -6,7 +6,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 
-@dataclass(frozen=True)
+# slotted: every live activity keeps its enabled labels memoized
+@dataclass(frozen=True, slots=True)
 class Label:
     rule: str
     activity: str

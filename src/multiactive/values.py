@@ -95,6 +95,24 @@ class Undefined:
 UNDEFINED = Undefined()
 
 
+def evolve(obj, changes: dict):
+    """A copy of a frozen dataclass instance with some fields changed.
+
+    Unlike ``dataclasses.replace`` it does not re-run ``__init__``. Only
+    the dataclass fields are copied, so the memos that other modules keep
+    on an instance, outside its fields, never reach the copy. An unknown
+    field name raises ``TypeError``, as ``replace`` does.
+    """
+    fields = obj.__dataclass_fields__
+    for name in changes:
+        if name not in fields:
+            raise TypeError(f"{type(obj).__name__} has no field {name!r}")
+    state = obj.__dict__
+    new = object.__new__(type(obj))
+    new.__dict__.update({name: state[name] for name in fields}, **changes)
+    return new
+
+
 class EngineFault(Exception):
     """An internal interpreter invariant broke (not a program state)."""
 

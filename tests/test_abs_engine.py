@@ -1,14 +1,19 @@
 """The cooperative engine: evaluation, awaits, scheduling, sync calls."""
 
+import hashlib
+
 import pytest
 
-from multiactive.absm.engine import abs_initial_config, abs_run
+from multiactive.absm.engine import abs_initial_config, abs_run, label_from_detail
 from multiactive.absm.evalfn import abs_evaluate
 from multiactive.absm.steps import abs_apply_step, abs_enabled_steps
 from multiactive.lang import parse_abs
 from multiactive.lang.ast_abs import AAssign, AAwait, AGet
 from multiactive.lang.ast_expr import Binop, Lit, Var
+from multiactive.canon import abs_digest
 from multiactive.values import UNRESOLVED, EngineFault, FutRef, ObjRef
+
+from conftest import ABS_CORPUS, load_abs
 
 
 
@@ -230,3 +235,38 @@ def test_abs_replay_reproduces_terminal_digest(bank):
     final, trace = abs_run(abs_initial_config(bank), budget=500)
     replayed = abs_replay(bank, trace)
     assert abs_digest(replayed) == trace.terminal["final_digest"]
+
+
+# (steps, SHA-256 of the label keys) of a seed-7 random run without
+# digests, recorded before the objects were grouped by cog once per call.
+ABS_RUN_PINS = {
+    "bank_account.abs": (41, "54f0970a8eafbdd6b42c6c276912b0d622cf3a0775e268f34b561ef841fc2dcf"),
+    "leader_election.abs": (91, "9f2078b5227e8c46502efcc05d1b90f17a9b3693343cee7f7326755fc372c808"),
+    "chat.abs": (57, "4d62b260e7e6e03fe05a5018e4fb130f72f629773f6f941a4a9ee341d9fd4e67"),
+    "mapreduce.abs": (59, "a1bd86e8b0f8e40dc255e47fb205a9c9367277d90a20bcf48ec32037a36b74ec"),
+    "futures_of_futures.abs": (26, "d8646a8188620c29743f54d8cc8e0b97b37719a5be43951adf65f2c86116502a"),
+}
+
+
+@pytest.mark.parametrize("name", ABS_CORPUS)
+def test_seeded_abs_run_matches_pin(name):
+    _, trace = abs_run(abs_initial_config(load_abs(name)), strategy="random", seed=7, digests=False)
+    keys = "\n".join(label_from_detail(r.detail).key() for r in trace.records)
+    assert (len(trace.records), hashlib.sha256(keys.encode()).hexdigest()) == ABS_RUN_PINS[name]
+
+
+def test_abs_update_rejects_unknown_fields():
+    cfg = abs_initial_config(parse_abs("{ vars a; a = 1 }"))
+    with pytest.raises(TypeError):
+        cfg.objects[ObjRef(0, "a0")].update(nope=1)
+    with pytest.raises(TypeError):
+        cfg.update(nope=1)
+
+
+def test_abs_update_carries_no_memo_to_the_successor(bank):
+    cfg = abs_initial_config(bank)
+    before = abs_digest(cfg)
+    ob = cfg.objects[ObjRef(0, "a0")]
+    idle = cfg.with_object(ob.update(active=None, queue=(ob.active,)))
+    assert abs_digest(idle) != before
+    assert cfg.objects[ObjRef(0, "a0")].update(active=ob.active) == ob

@@ -6,7 +6,9 @@ from multiactive.absm.engine import abs_initial_config
 from multiactive.explore import MASP_PROPERTIES, Property, default_properties, explore
 from multiactive.lang import parse_masp
 from multiactive.masp.engine import initial_config
+from multiactive.masp.runtime import Activity, Frame, Request, Thread, class_policy
 from multiactive.masp.steps import apply_step, enabled_steps
+from multiactive.steplabel import Label
 from multiactive.translate import translate_program
 from multiactive.values import FutRef
 
@@ -163,3 +165,47 @@ def test_store_closure_sees_futures_dropped_around_a_shared_activity():
     assert succ.activities[act.name] is act
     assert any(f"unknown future {fut}" in m for m in store_closure(succ))
     assert store_closure(cfg) == []
+
+
+def test_activity_properties_report_per_activity_and_forget_on_update():
+    p = parse_masp(
+        """
+class Srv() {
+  policy { group g selfcompatible max 1; threads pool 2 soft; }
+  method m() group g { return 1 }
+  method u() { return 2 }
+}
+{ }
+"""
+    )
+    props = {pr.name: pr for pr in MASP_PROPERTIES}
+    threads = {
+        f: Thread(Request(f, m, ()), "A", (Frame({}, ()),))
+        for f, m in (("f1", "m"), ("f2", "m"), ("f3", "u"))
+    }
+    act = Activity("a1", "Srv", None, {}, threads, (), policy=class_policy(p.cls("Srv")))
+    cfg = initial_config(p).with_activity(act)
+    expected = {
+        "safe-parallelism": [
+            "a1: incompatible requests m and u in parallel",
+            "a1: incompatible requests m and u in parallel",
+        ],
+        "thread-limits": [
+            "a1: 3 active threads over the pool",
+            "a1: group g has 2 active threads",
+        ],
+    }
+    for name, msgs in expected.items():
+        assert props[name].state(cfg) == msgs
+        assert props[name].state(cfg) == msgs  # served from the memo
+    calm = cfg.with_activity(act.update(current={"f1": threads["f1"]}))
+    assert props["safe-parallelism"].state(calm) == []
+    assert props["thread-limits"].state(calm) == []
+    # queue order: a reordering is reported, an untouched activity is not
+    fifo = props["fifo-integrity"].transition
+    queue = (Request("f4", "m", ()), Request("f5", "u", ()))
+    queued = cfg.with_activity(act.update(queue=queue))
+    swapped = cfg.with_activity(act.update(queue=queue[::-1]))
+    skip = Label("Skip", "a1", "f1")
+    assert fifo(queued, swapped, skip) == ["a1: queue order changed under Skip"]
+    assert fifo(queued, queued, skip) == []

@@ -1,14 +1,17 @@
 """The multi-active engine: evaluation, auxiliaries, reduction rules, runs."""
 
+import dataclasses
+import hashlib
 import random
 
 import pytest
 
+from multiactive.canon import masp_digest
 from multiactive.lang import parse_masp
 from multiactive.lang.ast_expr import Binop, Lit, Var
-from multiactive.masp.engine import initial_config, replay, run
+from multiactive.masp.engine import initial_config, label_from_detail, replay, run
 from multiactive.masp.evalfn import evaluate, rename_disjoint, serialise
-from multiactive.masp.runtime import Obj, bind
+from multiactive.masp.runtime import Activity, FutBinder, MaspConfig, Obj, bind
 from multiactive.masp.steps import apply_step, enabled_steps, stuck_threads
 from multiactive.values import (
     UNDEFINED,
@@ -18,7 +21,9 @@ from multiactive.values import (
     Loc,
 )
 
-from conftest import load_masp
+from multiactive.translate import translate_program
+
+from conftest import ABS_CORPUS, MASP_CORPUS, load_abs, load_masp
 
 
 def test_evaluate_arithmetic():
@@ -303,3 +308,111 @@ def test_deadlock_scenario_dichotomy():
     cfg2, t2 = run(initial_config(soft), budget=10000)
     assert t2.terminal["terminal"]
     assert t2.terminal["unresolved_futures"] == []
+
+
+# (steps, SHA-256 of the label keys) of a seed-7 random run without
+# digests, recorded before enumeration was memoized per activity: the
+# memo must offer the same labels in the same order.
+RUN_PINS = {
+    "circular_hard.masp": (24, "77ea1a4c71260188a2f7146a9e2586d1f49a5cd1d31396d320b9bc2581ad0725"),
+    "circular_soft.masp": (39, "64339238d99299b7dc7e1ee0bea336b35cc48dbc0a1c5d164e26d7463208b5ab"),
+    "peer_policy.masp": (29, "4db5e94cd2211999655ec84a9ec4aaeaaea6e871bfed64ad493faf935da7f128"),
+    "bank_account.abs": (136, "94161f57a50213a1d406b78bd8ce96cad110e217573e19d6264e26a2399fba8a"),
+    "leader_election.abs": (280, "87877a649da963fe8fab88125c359725e051dfb5d4213feef92b9e35d8765799"),
+    "chat.abs": (159, "83125ab7c65605175623383805faac02dca19f01ae27134bd88fe0db7c901d2e"),
+    "mapreduce.abs": (134, "ac00e98c1c30b88b332ca7f2a92b621c6da298875639f41b60010ada492e3ef5"),
+    "futures_of_futures.abs": (74, "15bb933102acf8b8ff1c8a4cf418c7e812509e012489dc7782427be4f6cc9b48"),
+}
+
+
+def _program(name):
+    """A native program as written, a cooperative one translated."""
+    if name.endswith(".abs"):
+        return translate_program(load_abs(name))
+    return load_masp(name)
+
+
+@pytest.mark.parametrize("name", MASP_CORPUS + ABS_CORPUS)
+def test_seeded_run_matches_pin(name):
+    _, trace = run(initial_config(_program(name)), strategy="random", seed=7, digests=False)
+    keys = "\n".join(label_from_detail(r.detail).key() for r in trace.records)
+    assert (len(trace.records), hashlib.sha256(keys.encode()).hexdigest()) == RUN_PINS[name]
+
+
+def _rebuilt(cfg):
+    """The same configuration with every activity rebuilt field for field,
+    so no memo computed on the originals can answer for it."""
+    acts = {
+        n: Activity(**{f.name: getattr(a, f.name) for f in dataclasses.fields(Activity)})
+        for n, a in cfg.activities.items()
+    }
+    return MaspConfig(cfg.program, acts, cfg.futures, cfg.act_counter, cfg.fut_counter)
+
+
+@pytest.mark.parametrize("name", MASP_CORPUS + ABS_CORPUS)
+def test_memoized_labels_match_fresh_enumeration(name):
+    rng = random.Random(name)
+    for _ in range(3):
+        cfg = initial_config(_program(name))
+        for _ in range(120):
+            for mode in ("explore", "run"):
+                got = enabled_steps(cfg, mode)
+                assert got == enabled_steps(cfg, mode)  # served from the memo
+                assert got == enabled_steps(_rebuilt(cfg), mode)
+            labels = enabled_steps(cfg)
+            if not labels:
+                break
+            cfg = apply_step(cfg, labels[rng.randrange(len(labels))])
+
+
+def _with_update_enabled():
+    p = parse_masp(
+        """
+class Srv() {
+  policy { group g selfcompatible; }
+  method m() group g { return 3 }
+}
+{ vars s, f; s = newActive Srv(); f = s.m() }
+"""
+    )
+    cfg = initial_config(p)
+    while not [l for l in enabled_steps(cfg) if l.rule == "Update"]:
+        cfg = apply_step(cfg, enabled_steps(cfg)[0])
+    return cfg
+
+
+def test_update_labels_follow_the_configuration_not_the_shared_activity():
+    resolved = _with_update_enabled()
+    (up,) = [l for l in enabled_steps(resolved) if l.rule == "Update"]
+    futures = dict(resolved.futures)
+    futures[up.future] = FutBinder(method=futures[up.future].method)
+    pending = resolved.update(futures=futures)
+    assert pending.activities[up.activity] is resolved.activities[up.activity]
+    for mode in ("explore", "run"):
+        assert up not in enabled_steps(pending, mode)
+        assert up in enabled_steps(resolved, mode)
+        assert up not in enabled_steps(pending, mode)
+
+
+def test_update_rejects_unknown_fields():
+    cfg = initial_config(load_masp("circular_soft.masp"))
+    with pytest.raises(TypeError):
+        cfg.activities["a0"].update(nope=1)
+    with pytest.raises(TypeError):
+        cfg.update(nope=1)
+
+
+def test_update_carries_no_memo_to_the_successor():
+    cfg = initial_config(load_masp("peer_policy.masp"))
+    while not [l for l in enabled_steps(cfg) if l.rule == "Serve"]:
+        cfg = apply_step(cfg, enabled_steps(cfg)[0])
+    serve = [l for l in enabled_steps(cfg) if l.rule == "Serve"][0]
+    act = cfg.activities[serve.activity]
+    emptied = cfg.with_activity(act.update(queue=()))
+    assert not [
+        l for l in enabled_steps(emptied) if l.rule == "Serve" and l.activity == act.name
+    ]
+    before = masp_digest(cfg)
+    flipped = cfg.with_activity(act.update(limit="H" if act.limit == "S" else "S"))
+    assert masp_digest(flipped) != before
+    assert act.update(limit=act.limit) == act
