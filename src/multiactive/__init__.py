@@ -13,7 +13,7 @@ from .lang import (
 from .translate import TranslateError, translate_program, detect_future_of_future
 from .masp.engine import initial_config, run
 from .absm.engine import abs_initial_config, abs_run
-from .canon import abs_digest, canonicalize, masp_digest
+from .canon import abs_digest, masp_digest
 from .equiv import EquivContext, config_equiv, stmt_equiv, value_equiv
 from .simulate import check_backward_simulation, check_forward_simulation
 from .explore import explore, default_properties

@@ -1,4 +1,9 @@
-"""Initial configuration and deterministic runs of the cooperative engine."""
+"""Initial configuration and deterministic runs of the cooperative engine.
+
+The run and replay loops are ``trace.run_steps`` and ``trace.replay_steps``;
+what stays here is this calculus's scheduler (``choose`` in ``abs_run``)
+and its step record, whose rule carries an ``abs:`` prefix.
+"""
 
 from __future__ import annotations
 
@@ -7,9 +12,8 @@ import random
 from ..canon import abs_digest, digest_of
 from ..lang.ast_abs import AbsProgram
 from ..lang.pretty import pretty_abs
-from ..trace import StepRecord, Trace
+from ..trace import StepFunctions, StepRecord, Trace, replay_steps, run_steps
 from ..values import UNRESOLVED, ActRef, FutRef, ObjRef
-from ..steplabel import Label
 from .runtime import AbsConfig, Ob, Process, flatten_abs_body
 from .steps import abs_apply_step, abs_enabled_steps
 
@@ -36,12 +40,9 @@ def abs_initial_config(program: AbsProgram) -> AbsConfig:
     )
 
 
-def label_from_detail(detail: dict) -> Label:
-    return Label(
-        detail["rule"],
-        detail["activity"],
-        detail.get("future"),
-        tuple(detail.get("extra", ())),
+def _label_record(config, label, index) -> StepRecord:
+    return StepRecord(
+        index, f"abs:{label.rule}", label.activity, label.future, None, label.detail(), ""
     )
 
 
@@ -57,69 +58,34 @@ def abs_run(
     digests: bool = True,
 ):
     """One deterministic execution; awaits re-queue at the tail in run mode."""
-    trace = Trace(
-        program_digest=digest_of(pretty_abs(config.program)),
-        strategy=strategy,
-        seed=seed,
-    )
     rng = random.Random(seed)
     rotation = 0
-    steps = 0
-    while steps < budget:
-        labels = abs_enabled_steps(config, mode="run")
-        if not labels:
-            break
+
+    def choose(config, labels):
+        nonlocal rotation
         if strategy == "random":
-            chosen = labels[rng.randrange(len(labels))]
-        else:
-            # round-robin over cogs; within one cog prefer real progress
-            # over yielding so awaiting processes do not spin needlessly
-            cog_order = list(config.cogs.keys())
-            chosen = None
-            for offset in range(len(cog_order)):
-                cog = cog_order[(rotation + offset) % len(cog_order)]
-                mine = [l for l in labels if l.activity == cog]
-                if mine:
-                    progress = [
-                        l
-                        for l in mine
-                        if l.rule not in ("Await-False", "Suspend", "Release-Cog")
-                    ]
-                    chosen = progress[0] if progress else mine[0]
-                    rotation = rotation + offset + 1
-                    break
-            if chosen is None:
-                chosen = labels[0]
-        detail = {
-            "rule": chosen.rule,
-            "activity": chosen.activity,
-            "future": chosen.future,
-            "extra": list(chosen.extra),
-        }
-        record = StepRecord(
-            steps, f"abs:{chosen.rule}", chosen.activity, chosen.future, None, detail, ""
-        )
-        config = abs_apply_step(config, chosen)
-        if digests:
-            record.config_digest = abs_digest(config)
-        trace.records.append(record)
-        steps += 1
-    unresolved = abs_unresolved_futures(config)
-    terminal = not abs_enabled_steps(config, mode="run")
-    trace.terminal = {
-        "steps": steps,
-        "terminal": terminal,
-        "budget_exhausted": steps >= budget and not terminal,
-        "unresolved_futures": sorted(unresolved),
-        "request_never_ends": terminal and bool(unresolved),
-        "final_digest": abs_digest(config),
-    }
-    return config, trace
+            return labels[rng.randrange(len(labels))]
+        # round-robin over cogs; within one cog prefer real progress
+        # over yielding so awaiting processes do not spin needlessly
+        cog_order = list(config.cogs.keys())
+        for offset in range(len(cog_order)):
+            cog = cog_order[(rotation + offset) % len(cog_order)]
+            mine = [l for l in labels if l.activity == cog]
+            if mine:
+                progress = [
+                    l
+                    for l in mine
+                    if l.rule not in ("Await-False", "Suspend", "Release-Cog")
+                ]
+                rotation = rotation + offset + 1
+                return progress[0] if progress else mine[0]
+        return labels[0]
+
+    fns = StepFunctions(abs_enabled_steps, abs_apply_step, abs_digest, abs_unresolved_futures)
+    trace = Trace(digest_of(pretty_abs(config.program)), strategy, seed)
+    return run_steps(config, fns, choose, _label_record, trace, budget, digests)
 
 
 def abs_replay(program: AbsProgram, trace: Trace):
     """Re-apply a trace's recorded labels; returns the final configuration."""
-    config = abs_initial_config(program)
-    for record in trace.records:
-        config = abs_apply_step(config, label_from_detail(record.detail))
-    return config
+    return replay_steps(abs_initial_config(program), abs_apply_step, trace)

@@ -4,7 +4,7 @@ fields, futures are first-class values, no location indirection."""
 from __future__ import annotations
 
 from ..lang.ast_expr import Binop, Lit, MethodLit, RuntimeVal, This, Unop, Var
-from ..values import UNDEFINED, EngineFault, FutRef, MethodVal
+from ..values import UNDEFINED, EngineFault, FutRef, MethodVal, binop, unop
 
 
 def abs_evaluate(e, fields, locals_):
@@ -25,12 +25,7 @@ def abs_evaluate(e, fields, locals_):
             return fields[e.name]
         raise EngineFault(f"unbound variable {e.name}")
     if isinstance(e, Unop):
-        v = abs_evaluate(e.operand, fields, locals_)
-        if e.op == "!":
-            return (not v) if isinstance(v, bool) else UNDEFINED
-        if _is_int(v):
-            return -v
-        return UNDEFINED
+        return unop(e.op, abs_evaluate(e.operand, fields, locals_))
     if isinstance(e, Binop):
         l = abs_evaluate(e.left, fields, locals_)
         if l is UNDEFINED:
@@ -38,43 +33,11 @@ def abs_evaluate(e, fields, locals_):
         r = abs_evaluate(e.right, fields, locals_)
         if r is UNDEFINED:
             return UNDEFINED
-        return _binop(e.op, l, r)
-    raise EngineFault(f"not an expression: {e!r}")
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _binop(op, l, r):
-    if op in ("==", "!="):
-        if isinstance(l, FutRef) or isinstance(r, FutRef):
+        if e.op in ("==", "!=") and (isinstance(l, FutRef) or isinstance(r, FutRef)):
             # comparing unread futures would peek through explicit reads
             return UNDEFINED
-        return (l == r) if op == "==" else (l != r)
-    if op in ("&&", "||"):
-        if isinstance(l, bool) and isinstance(r, bool):
-            return (l and r) if op == "&&" else (l or r)
-        return UNDEFINED
-    if not _is_int(l) or not _is_int(r):
-        return UNDEFINED
-    if op == "+":
-        return l + r
-    if op == "-":
-        return l - r
-    if op == "*":
-        return l * r
-    if op == "/":
-        return UNDEFINED if r == 0 else l // r
-    if op == "<":
-        return l < r
-    if op == "<=":
-        return l <= r
-    if op == ">":
-        return l > r
-    if op == ">=":
-        return l >= r
-    raise EngineFault(f"unknown operator {op}")
+        return binop(e.op, l, r)
+    raise EngineFault(f"not an expression: {e!r}")
 
 
 def abs_evaluate_list(exprs, fields, locals_):

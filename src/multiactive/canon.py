@@ -593,13 +593,6 @@ def abs_digest(config) -> str:
     return d
 
 
-def canonicalize(config) -> str:
-    """Digest dispatching on the configuration kind."""
-    if isinstance(config, MaspConfig):
-        return masp_digest(config)
-    return abs_digest(config)
-
-
 # -- former names ----------------------------------------------------------------
 
 

@@ -177,28 +177,56 @@ def diagnose_deadlock(config: MaspConfig) -> Diagnosis:
 
 
 def _find_cycles(edges) -> list:
-    cycles = []
-    seen_cycles = set()
+    """One witness cycle per strongly connected component that has a
+    cycle (two or more nodes, or a self-loop), in the order of each
+    component's first node in ``edges``. The witness is the cycle that a
+    walk from that node closes, taking the least edge inside the
+    component at every step."""
+    comp = _components(edges)
+    cycles, done = [], set()
     for start in edges:
-        path, on_path = [], {}
-        node = start
-
-        def dfs(n):
-            if n in on_path:
-                cyc = tuple(path[on_path[n] :])
-                key = frozenset(cyc)
-                if key not in seen_cycles:
-                    seen_cycles.add(key)
-                    cycles.append(cyc)
-                return
-            if n not in edges:
-                return
-            on_path[n] = len(path)
-            path.append(n)
-            for m in sorted(edges[n]):
-                dfs(m)
-            path.pop()
-            del on_path[n]
-
-        dfs(node)
+        c = comp[start]
+        inside = lambda n: min((m for m in edges.get(n, ()) if comp[m] == c), default=None)
+        if c in done or inside(start) is None:
+            continue
+        done.add(c)
+        path, at = [start], {start: 0}
+        while (m := inside(path[-1])) not in at:
+            at[m] = len(path)
+            path.append(m)
+        cycles.append(tuple(path[at[m]:]))
     return cycles
+
+
+def _components(edges) -> dict:
+    """Tarjan's strongly connected components (SIAM J. Comput. 1972),
+    iteratively: node -> the root node of its component."""
+    index, low, comp, stack = {}, {}, {}, []
+    for root in edges:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        work = [(root, iter(edges[root]))]
+        while work:
+            node, succs = work[-1]
+            for m in succs:
+                if m not in index:
+                    index[m] = low[m] = len(index)
+                    stack.append(m)
+                    work.append((m, iter(edges.get(m, ()))))
+                    break
+                if m not in comp:  # still on the stack
+                    low[node] = min(low[node], index[m])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    while True:
+                        m = stack.pop()
+                        comp[m] = node
+                        if m == node:
+                            break
+    return comp

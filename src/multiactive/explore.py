@@ -13,9 +13,11 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Optional
 
+from .absm.engine import abs_unresolved_futures
 from .absm.runtime import AbsConfig
 from .absm.steps import abs_apply_step, abs_enabled_steps
-from .canon import canonicalize
+from .canon import abs_digest, masp_digest
+from .masp.engine import unresolved_futures
 from .masp.evalfn import ground
 from .masp.runtime import MaspConfig, Obj
 from .masp.steps import apply_step, enabled_steps, stuck_threads
@@ -57,21 +59,17 @@ class ExplorationResult:
 
 def _dispatch(config):
     if isinstance(config, MaspConfig):
-        return enabled_steps, apply_step
-    return abs_enabled_steps, abs_apply_step
+        return enabled_steps, apply_step, masp_digest
+    return abs_enabled_steps, abs_apply_step, abs_digest
 
 
 def _terminal_info(config) -> tuple:
     if isinstance(config, MaspConfig):
-        unresolved = sum(1 for b in config.futures.values() if not b.resolved)
-        stuck = len(stuck_threads(config))
-    else:
-        unresolved = sum(1 for v in config.futures.values() if v is UNRESOLVED)
-        stuck = 0
-    return unresolved, stuck
+        return len(unresolved_futures(config)), len(stuck_threads(config))
+    return len(abs_unresolved_futures(config)), 0
 
 
-def _expand(config, enabled, apply_fn, properties, mode):
+def _expand(config, enabled, apply_fn, digest_fn, properties, mode):
     succs = []
     notes = []
     for label in enabled(config, mode=mode):
@@ -80,7 +78,7 @@ def _expand(config, enabled, apply_fn, properties, mode):
             if prop.transition is not None:
                 for msg in prop.transition(config, succ, label):
                     notes.append((prop.name, label, msg))
-        succs.append((label, succ, canonicalize(succ)))
+        succs.append((label, succ, digest_fn(succ)))
     return succs, notes
 
 
@@ -95,9 +93,9 @@ def explore(
     """BFS up to ``depth`` levels, ``width`` distinct canonical states, or
     ``time_budget`` seconds (checked before each expansion)."""
     deadline = None if time_budget is None else time.monotonic() + time_budget
-    enabled, apply_fn = _dispatch(config)
+    enabled, apply_fn, digest_fn = _dispatch(config)
     result = ExplorationResult()
-    root = canonicalize(config)
+    root = digest_fn(config)
     parents = {root: None}  # digest -> (parent digest, label)
     frontier = [(config, root)]
     visited = 1
@@ -131,7 +129,7 @@ def explore(
             if deadline is not None and time.monotonic() > deadline:
                 result.frontier_truncated = True
                 break
-            succs, notes = _expand(cfg, enabled, apply_fn, properties, mode)
+            succs, notes = _expand(cfg, enabled, apply_fn, digest_fn, properties, mode)
             for prop_name, label, msg in notes:
                 result.property_violations.append(
                     {

@@ -56,6 +56,43 @@ def _expr_reads(e, out: list):
         _expr_reads(e.operand, out)
 
 
+def _methods(c, reserved, diags):
+    """The field and method-name checks both languages make on class ``c``;
+    yields each method, once its own check is made, with its scope."""
+    if len(set(c.fields)) != len(c.fields):
+        diags.append(Diagnostic(c.pos, f"duplicate field in class {c.name}"))
+    for f in c.fields:
+        if f in reserved:
+            diags.append(Diagnostic(c.pos, f"field name {f} is reserved"))
+    seen = set()
+    for m in c.methods:
+        if m.name in seen:
+            diags.append(Diagnostic(m.pos, f"duplicate method {c.name}.{m.name}"))
+        seen.add(m.name)
+        yield m, set(m.params) | set(m.locals) | set(c.fields) | {"this"}
+
+
+def _check_undeclared(uses, scope, diags):
+    for name, pos in uses:
+        if name not in scope:
+            diags.append(Diagnostic(pos, f"undeclared variable {name}"))
+
+
+def _check_news(p, news, diags):
+    for r in news:
+        cls = p.cls(r.cls)
+        if cls is None:
+            diags.append(Diagnostic(r.pos, f"undefined class {r.cls}"))
+        elif len(r.args) != len(cls.fields):
+            diags.append(
+                Diagnostic(
+                    r.pos,
+                    f"class {r.cls} takes {len(cls.fields)} arguments,"
+                    f" got {len(r.args)}",
+                )
+            )
+
+
 # -- multi-active object language -------------------------------------------
 
 
@@ -101,23 +138,11 @@ def _check_masp(p: MaspProgram) -> list:
         if c.policy is not None:
             diags.extend(_check_policy(c))
             declared_groups = {g.name for g in c.policy.groups}
-        if len(set(c.fields)) != len(c.fields):
-            diags.append(Diagnostic(c.pos, f"duplicate field in class {c.name}"))
-        for f in c.fields:
-            if f in MASP_RESERVED_FIELDS:
-                diags.append(Diagnostic(c.pos, f"field name {f} is reserved"))
-        mseen = set()
-        for m in c.methods:
-            if m.name in mseen:
-                diags.append(
-                    Diagnostic(m.pos, f"duplicate method {c.name}.{m.name}")
-                )
-            mseen.add(m.name)
+        for m, scope in _methods(c, MASP_RESERVED_FIELDS, diags):
             if m.group is not None and m.group not in declared_groups:
                 diags.append(
                     Diagnostic(m.pos, f"method {m.name} in undeclared group {m.group}")
                 )
-            scope = set(m.params) | set(m.locals) | set(c.fields) | {"this"}
             if m.vararg:
                 scope.add(m.vararg)
             _check_masp_block(p, m.body, scope, m.vararg, diags)
@@ -130,24 +155,11 @@ def _check_masp(p: MaspProgram) -> list:
 def _check_masp_block(p, body, scope, vararg, diags):
     reads, writes, news, varargs = [], [], [], []
     _masp_stmt_uses(body, reads, writes, news, varargs)
-    for name, pos in reads + writes:
-        if name not in scope:
-            diags.append(Diagnostic(pos, f"undeclared variable {name}"))
+    _check_undeclared(reads + writes, scope, diags)
     for name, pos in varargs:
         if name != vararg:
             diags.append(Diagnostic(pos, f"{name}... is not the rest-parameter"))
-    for r in news:
-        cls = p.cls(r.cls)
-        if cls is None:
-            diags.append(Diagnostic(r.pos, f"undefined class {r.cls}"))
-        elif len(r.args) != len(cls.fields):
-            diags.append(
-                Diagnostic(
-                    r.pos,
-                    f"class {r.cls} takes {len(cls.fields)} arguments,"
-                    f" got {len(r.args)}",
-                )
-            )
+    _check_news(p, news, diags)
 
 
 def _check_policy(c) -> list:
@@ -243,22 +255,10 @@ def _check_abs(p: AbsProgram) -> list:
                 Diagnostic(c.pos, "class name COG is reserved for the backend")
             )
     for c in p.classes:
-        if len(set(c.fields)) != len(c.fields):
-            diags.append(Diagnostic(c.pos, f"duplicate field in class {c.name}"))
-        for f in c.fields:
-            if f in ABS_RESERVED:
-                diags.append(Diagnostic(c.pos, f"field name {f} is reserved"))
-        mseen = set()
-        for m in c.methods:
-            if m.name in mseen:
-                diags.append(
-                    Diagnostic(m.pos, f"duplicate method {c.name}.{m.name}")
-                )
-            mseen.add(m.name)
+        for m, scope in _methods(c, ABS_RESERVED, diags):
             for name in (*m.params, *m.locals):
                 if name in ABS_RESERVED:
                     diags.append(Diagnostic(m.pos, f"name {name} is reserved"))
-            scope = set(m.params) | set(m.locals) | set(c.fields) | {"this"}
             _check_abs_block(p, m.body, scope, diags)
     for name in p.main_locals:
         if name in ABS_RESERVED:
@@ -270,18 +270,5 @@ def _check_abs(p: AbsProgram) -> list:
 def _check_abs_block(p, body, scope, diags):
     reads, writes, news = [], [], []
     _abs_stmt_uses(body, reads, writes, news)
-    for name, pos in reads + writes:
-        if name not in scope:
-            diags.append(Diagnostic(pos, f"undeclared variable {name}"))
-    for r in news:
-        cls = p.cls(r.cls)
-        if cls is None:
-            diags.append(Diagnostic(r.pos, f"undefined class {r.cls}"))
-        elif len(r.args) != len(cls.fields):
-            diags.append(
-                Diagnostic(
-                    r.pos,
-                    f"class {r.cls} takes {len(cls.fields)} arguments,"
-                    f" got {len(r.args)}",
-                )
-            )
+    _check_undeclared(reads + writes, scope, diags)
+    _check_news(p, news, diags)

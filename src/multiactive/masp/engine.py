@@ -1,4 +1,9 @@
-"""Initial configurations and deterministic runs of the multi-active engine."""
+"""Initial configurations and deterministic runs of the multi-active engine.
+
+The run and replay loops are ``trace.run_steps`` and ``trace.replay_steps``;
+what stays here is this calculus's scheduler (``choose`` in ``run``) and
+its step record, which names the method a step serves.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +14,7 @@ from ..lang.ast_expr import Var
 from ..lang.ast_masp import MaspProgram, MReturn
 from ..lang.pretty import pretty_masp
 from ..policy import DEFAULT_POLICY, cog_policy
-from ..trace import StepRecord, Trace
+from ..trace import StepFunctions, StepRecord, Trace, replay_steps, run_steps
 from ..values import ActRef, Loc, MethodVal
 from .runtime import (
     Activity,
@@ -22,7 +27,6 @@ from .runtime import (
     Thread,
     flatten_body,
 )
-from ..steplabel import Label
 from .steps import apply_step, enabled_steps, stuck_threads
 
 MAIN_FUTURE = "f0"
@@ -108,22 +112,7 @@ def _label_record(config, label, index) -> StepRecord:
         if method is None:
             binder = config.futures.get(label.future)
             method = binder.method if binder else None
-    detail = {
-        "rule": label.rule,
-        "activity": label.activity,
-        "future": label.future,
-        "extra": list(label.extra),
-    }
-    return StepRecord(index, label.rule, label.activity, label.future, method, detail, "")
-
-
-def label_from_detail(detail: dict) -> Label:
-    return Label(
-        detail["rule"],
-        detail["activity"],
-        detail.get("future"),
-        tuple(detail.get("extra", ())),
-    )
+    return StepRecord(index, label.rule, label.activity, label.future, method, label.detail(), "")
 
 
 def unresolved_futures(config: MaspConfig) -> list:
@@ -144,61 +133,33 @@ def run(
     activations, then thread steps in a rotating order (so busy-waiting
     condition threads get requeued behind everything else runnable).
     """
-    trace = Trace(
-        program_digest=digest_of(pretty_masp(config.program)),
-        strategy=strategy,
-        seed=seed,
-    )
     rng = random.Random(seed)
     rotation = 0
-    steps = 0
-    while steps < budget:
-        labels = enabled_steps(config, mode="run")
-        if not labels:
-            break
-        updates = [l for l in labels if l.rule == "Update"]
-        if updates:
-            chosen = updates[0]
-        else:
-            serves = [l for l in labels if l.rule == "Serve"]
-            activates = [l for l in labels if l.rule == "Activate-Thread"]
-            others = [
-                l for l in labels if l.rule not in ("Serve", "Activate-Thread")
-            ]
-            if strategy == "random":
-                pool = serves + activates + others
-                chosen = pool[rng.randrange(len(pool))]
-            elif serves:
-                chosen = serves[0]
-            elif activates:
-                chosen = activates[0]
-            else:
-                chosen = others[rotation % len(others)]
-                rotation += 1
-        record = _label_record(config, chosen, steps)
-        config = apply_step(config, chosen)
-        if digests:
-            record.config_digest = masp_digest(config)
-        trace.records.append(record)
-        steps += 1
-    unresolved = unresolved_futures(config)
-    terminal = not enabled_steps(config, mode="run")
-    stuck = stuck_threads(config)
-    trace.terminal = {
-        "steps": steps,
-        "terminal": terminal,
-        "budget_exhausted": steps >= budget and not terminal,
-        "unresolved_futures": sorted(unresolved),
-        "stuck_threads": [list(s) for s in stuck],
-        "request_never_ends": terminal and bool(unresolved),
-        "final_digest": masp_digest(config),
-    }
-    return config, trace
+
+    def choose(config, labels):
+        nonlocal rotation
+        for l in labels:
+            if l.rule == "Update":
+                return l
+        serves = [l for l in labels if l.rule == "Serve"]
+        activates = [l for l in labels if l.rule == "Activate-Thread"]
+        others = [l for l in labels if l.rule not in ("Serve", "Activate-Thread")]
+        if strategy == "random":
+            pool = serves + activates + others
+            return pool[rng.randrange(len(pool))]
+        if serves:
+            return serves[0]
+        if activates:
+            return activates[0]
+        chosen = others[rotation % len(others)]
+        rotation += 1
+        return chosen
+
+    fns = StepFunctions(enabled_steps, apply_step, masp_digest, unresolved_futures, stuck_threads)
+    trace = Trace(digest_of(pretty_masp(config.program)), strategy, seed)
+    return run_steps(config, fns, choose, _label_record, trace, budget, digests)
 
 
 def replay(program: MaspProgram, trace: Trace):
     """Re-apply a trace's recorded labels; returns the final configuration."""
-    config = initial_config(program)
-    for record in trace.records:
-        config = apply_step(config, label_from_detail(record.detail))
-    return config
+    return replay_steps(initial_config(program), apply_step, trace)

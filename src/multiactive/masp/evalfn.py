@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from ..lang.ast_expr import Binop, Lit, MethodLit, RuntimeVal, This, Unop, Var
 from ..policy import UNGROUND
-from ..values import UNDEFINED, EngineFault, FutRef, Loc, MethodVal
+from ..values import UNDEFINED, EngineFault, FutRef, Loc, MethodVal, binop, unop
 from .runtime import Obj
 
 
@@ -51,12 +51,7 @@ def evaluate(e, store, locals_):
             raise EngineFault(f"unbound variable {e.name}")
         return chase(obj.fields[e.name], store)
     if isinstance(e, Unop):
-        v = evaluate(e.operand, store, locals_)
-        if e.op == "!":
-            return (not v) if isinstance(v, bool) else UNDEFINED
-        if isinstance(v, int) and not isinstance(v, bool):
-            return -v
-        return UNDEFINED
+        return unop(e.op, evaluate(e.operand, store, locals_))
     if isinstance(e, Binop):
         l = evaluate(e.left, store, locals_)
         if l is UNDEFINED:
@@ -64,47 +59,14 @@ def evaluate(e, store, locals_):
         r = evaluate(e.right, store, locals_)
         if r is UNDEFINED:
             return UNDEFINED
-        return _binop(e.op, l, r, store)
+        if e.op in ("==", "!=") and (_is_future_loc(l, store) or _is_future_loc(r, store)):
+            return UNDEFINED
+        return binop(e.op, l, r)
     raise EngineFault(f"not an expression: {e!r}")
 
 
 def _is_future_loc(v, store) -> bool:
     return isinstance(v, Loc) and isinstance(store.get(v), FutRef)
-
-
-def _binop(op, l, r, store):
-    if op in ("==", "!="):
-        # defined on any ground values; identity over references
-        if _is_future_loc(l, store) or _is_future_loc(r, store):
-            return UNDEFINED
-        return (l == r) if op == "==" else (l != r)
-    if op in ("&&", "||"):
-        if isinstance(l, bool) and isinstance(r, bool):
-            return (l and r) if op == "&&" else (l or r)
-        return UNDEFINED
-    if not _is_int(l) or not _is_int(r):
-        return UNDEFINED
-    if op == "+":
-        return l + r
-    if op == "-":
-        return l - r
-    if op == "*":
-        return l * r
-    if op == "/":
-        return UNDEFINED if r == 0 else l // r
-    if op == "<":
-        return l < r
-    if op == "<=":
-        return l <= r
-    if op == ">":
-        return l > r
-    if op == ">=":
-        return l >= r
-    raise EngineFault(f"unknown operator {op}")
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def evaluate_list(exprs, store, locals_):

@@ -20,3 +20,21 @@ class Label:
             bits.append(self.future)
         bits.extend(str(x) for x in self.extra)
         return "/".join(bits)
+
+    def detail(self) -> dict:
+        """The label as a trace record stores it; ``from_detail`` reads it back."""
+        return {
+            "rule": self.rule,
+            "activity": self.activity,
+            "future": self.future,
+            "extra": list(self.extra),
+        }
+
+    @classmethod
+    def from_detail(cls, detail: dict) -> "Label":
+        return cls(
+            detail["rule"],
+            detail["activity"],
+            detail.get("future"),
+            tuple(detail.get("extra", ())),
+        )

@@ -1,10 +1,13 @@
-"""Execution traces: JSON-lines records, replay support."""
+"""Execution traces: JSON-lines records, and the run loop (``run_steps``)
+and replay loop (``replay_steps``) that both engines share."""
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
+
+from .steplabel import Label
 
 
 @dataclass
@@ -18,15 +21,7 @@ class StepRecord:
     config_digest: str
 
     def to_json(self) -> dict:
-        return {
-            "index": self.index,
-            "rule": self.rule,
-            "activity": self.activity,
-            "request_future": self.request_future,
-            "method": self.method,
-            "detail": self.detail,
-            "config_digest": self.config_digest,
-        }
+        return dict(vars(self))
 
 
 @dataclass
@@ -86,3 +81,56 @@ class Trace:
             records,
             terminal,
         )
+
+
+@dataclass(frozen=True, slots=True)
+class StepFunctions:
+    """What the run loop calls of one calculus; engines build it per run from
+    their module-level names, so wrappers bound under those names are seen."""
+
+    enabled: Callable  # (config, mode) -> labels
+    apply: Callable  # (config, label) -> config
+    digest: Callable  # config -> str
+    unresolved: Callable  # config -> future names
+    stuck: Optional[Callable] = None  # config -> stuck threads, if the calculus has them
+
+
+def run_steps(config, fns: StepFunctions, choose, record, trace: Trace, budget: int, digests: bool):
+    """The run loop: apply ``choose(config, labels)`` until no step is
+    enabled or ``budget`` steps are taken; ``record(config, label, index)``
+    builds each step's record. Fills in ``trace``; returns (config, trace)."""
+    enabled, apply, digest = fns.enabled, fns.apply, fns.digest
+    records = trace.records
+    steps = 0
+    while steps < budget:
+        labels = enabled(config, mode="run")
+        if not labels:
+            break
+        chosen = choose(config, labels)
+        rec = record(config, chosen, steps)
+        config = apply(config, chosen)
+        if digests:
+            rec.config_digest = digest(config)
+        records.append(rec)
+        steps += 1
+    unresolved = fns.unresolved(config)
+    terminal = not enabled(config, mode="run")
+    info = trace.terminal = {  # the keys in this order, for the text output
+        "steps": steps,
+        "terminal": terminal,
+        "budget_exhausted": steps >= budget and not terminal,
+        "unresolved_futures": sorted(unresolved),
+    }
+    if fns.stuck is not None:
+        info["stuck_threads"] = [list(s) for s in fns.stuck(config)]
+    info["request_never_ends"] = terminal and bool(unresolved)
+    info["final_digest"] = digest(config)
+    return config, trace
+
+
+def replay_steps(config, apply, trace: Trace):
+    """The replay loop: re-apply a trace's recorded labels to ``config``;
+    returns the final configuration."""
+    for record in trace.records:
+        config = apply(config, Label.from_detail(record.detail))
+    return config

@@ -8,6 +8,7 @@ structurally and never collide with primitives.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, floordiv, ge, gt, le, lt, mul, sub
 
 
 @dataclass(frozen=True)
@@ -115,6 +116,37 @@ def evolve(obj, changes: dict):
 
 class EngineFault(Exception):
     """An internal interpreter invariant broke (not a program state)."""
+
+
+def is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def unop(op, v):
+    if op == "!":
+        return (not v) if isinstance(v, bool) else UNDEFINED
+    return -v if is_int(v) else UNDEFINED
+
+
+# the integer operators of both calculi; "/" is undefined on a zero divisor
+_INT_OPS = {"+": add, "-": sub, "*": mul, "/": floordiv, "<": lt, "<=": le, ">": gt, ">=": ge}
+
+
+def binop(op, l, r):
+    """``==``/``!=`` on any values (each evaluator first rules out operands
+    hiding a future), ``&&``/``||`` on booleans, the rest on integers."""
+    if op == "==" or op == "!=":
+        return (l == r) if op == "==" else (l != r)
+    if op == "&&" or op == "||":
+        if isinstance(l, bool) and isinstance(r, bool):
+            return (l and r) if op == "&&" else (l or r)
+        return UNDEFINED
+    if not is_int(l) or not is_int(r):
+        return UNDEFINED
+    fn = _INT_OPS.get(op)
+    if fn is None:
+        raise EngineFault(f"unknown operator {op}")
+    return UNDEFINED if op == "/" and r == 0 else fn(l, r)
 
 
 def is_primitive(v) -> bool:

@@ -4,13 +4,14 @@ import hashlib
 
 import pytest
 
-from multiactive.absm.engine import abs_initial_config, abs_run, label_from_detail
+from multiactive.absm.engine import abs_initial_config, abs_run
 from multiactive.absm.evalfn import abs_evaluate
 from multiactive.absm.steps import abs_apply_step, abs_enabled_steps
 from multiactive.lang import parse_abs
 from multiactive.lang.ast_abs import AAssign, AAwait, AGet
 from multiactive.lang.ast_expr import Binop, Lit, Var
 from multiactive.canon import abs_digest
+from multiactive.steplabel import Label
 from multiactive.values import UNRESOLVED, EngineFault, FutRef, ObjRef
 
 from conftest import ABS_CORPUS, load_abs
@@ -251,7 +252,7 @@ ABS_RUN_PINS = {
 @pytest.mark.parametrize("name", ABS_CORPUS)
 def test_seeded_abs_run_matches_pin(name):
     _, trace = abs_run(abs_initial_config(load_abs(name)), strategy="random", seed=7, digests=False)
-    keys = "\n".join(label_from_detail(r.detail).key() for r in trace.records)
+    keys = "\n".join(Label.from_detail(r.detail).key() for r in trace.records)
     assert (len(trace.records), hashlib.sha256(keys.encode()).hexdigest()) == ABS_RUN_PINS[name]
 
 

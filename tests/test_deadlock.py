@@ -1,6 +1,8 @@
 """Deadlock diagnosis: the two §-scenario causes and clean runs."""
 
-from multiactive.deadlock import diagnose_deadlock
+import time
+
+from multiactive.deadlock import _find_cycles, diagnose_deadlock
 from multiactive.lang import parse_masp
 from multiactive.masp.engine import initial_config, run
 
@@ -14,7 +16,8 @@ def test_thread_starved_classification():
     diag = diagnose_deadlock(final)
     assert "thread-starved" in diag.kinds()
     assert "blocked-on-future" in diag.kinds()
-    assert diag.cycles  # circular request dependency is visible
+    # the circular request dependency is visible
+    assert diag.cycles == [("thread:a1:f2", "thread:a2:f3", "queued:a1:f4")]
     # starved entry names the queued callback
     starved = [c for c in diag.classifications if c["kind"] == "thread-starved"]
     assert any("limits" in c["detail"] for c in starved)
@@ -81,3 +84,33 @@ def test_non_terminal_config_yields_empty_diagnosis():
     program = load_masp("circular_soft.masp")
     diag = diagnose_deadlock(initial_config(program))
     assert diag.empty
+
+
+def test_one_cycle_per_component():
+    edges = {
+        "e": {"a"},  # leads into the first component, is on no cycle
+        "a": {"c", "b"},
+        "b": {"a", "c"},
+        "c": {"a"},
+        "d": {"d"},  # a self-loop is a cycle
+        "f": {"g"},
+        "g": set(),
+    }
+    # overlapping cycles a-b, a-c and a-b-c make one component; the witness
+    # starts at its first node and takes the sorted edges
+    assert _find_cycles(edges) == [("a", "b"), ("d",)]
+    # the witness stays inside its component (x-z); a walk from the first
+    # node may close a cycle that leaves that node out
+    edges = {"x": {"y", "z"}, "y": {"w"}, "w": {"y"}, "z": {"x"}}
+    assert _find_cycles(edges) == [("x", "z"), ("y", "w")]
+    edges = {"x": {"a"}, "a": {"b", "c"}, "b": {"a"}, "c": {"x"}}
+    assert _find_cycles(edges) == [("a", "b")]
+
+
+def test_complete_wait_for_graph_is_fast():
+    nodes = [f"n{i:02d}" for i in range(12)]
+    edges = {n: set(nodes) - {n} for n in nodes}
+    t0 = time.perf_counter()
+    cycles = _find_cycles(edges)
+    assert time.perf_counter() - t0 < 1.0
+    assert cycles == [("n00", "n01")]

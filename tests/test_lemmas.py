@@ -8,12 +8,14 @@ by construction; the lemmas are then checked against independent paths.
 
 import random
 
+import pytest
+
 from genprog import gen_runnable_abs
 from multiactive.absm.evalfn import abs_evaluate
 from multiactive.absm.runtime import AbsConfig
 from multiactive.equiv import value_equiv
 from multiactive.lang import parse_abs
-from multiactive.lang.ast_expr import Binop, Lit, Var
+from multiactive.lang.ast_expr import Binop, Lit, Unop, Var
 from multiactive.lang.ast_masp import MAssign, MInvoke
 from multiactive.masp.engine import initial_config, run
 from multiactive.masp.evalfn import chase, evaluate, ground, rename_disjoint, serialise
@@ -21,7 +23,7 @@ from multiactive.masp.runtime import Obj
 from multiactive.masp.steps import apply_step, enabled_steps
 from multiactive.policy import UNGROUND
 from multiactive.translate import translate_program
-from multiactive.values import UNDEFINED, ActRef, FutRef, Loc, ObjRef
+from multiactive.values import UNDEFINED, ActRef, EngineFault, FutRef, Loc, ObjRef
 
 from conftest import load_abs
 
@@ -108,6 +110,83 @@ def test_lemma_serialise_and_rename_preserve_equivalence():
         assert value_equiv(v, w, piece, cn), i
         (w2,), piece2, _ = rename_disjoint(g.store, (w,), piece)
         assert value_equiv(v, w2, piece2, cn), i
+
+
+# (operator, left, right, result) on literals, the same in both calculi
+OPERATOR_TABLE = [
+    ("+", 7, 2, 9),
+    ("-", 2, 7, -5),
+    ("*", 7, -2, -14),
+    ("/", 7, 2, 3),
+    ("/", -7, 2, -4),
+    ("<", 7, 2, False),
+    ("<=", 2, 2, True),
+    (">", 7, 2, True),
+    (">=", 1, 2, False),
+    ("==", 2, 2, True),
+    ("==", None, False, False),
+    ("!=", 2, 3, True),
+    ("!=", None, None, False),
+    ("&&", True, False, False),
+    ("&&", True, True, True),
+    ("||", False, True, True),
+    ("||", False, False, False),
+    ("/", 7, 0, UNDEFINED),
+    ("+", True, 1, UNDEFINED),
+    ("-", 1, False, UNDEFINED),
+    ("*", None, 2, UNDEFINED),
+    ("/", True, 1, UNDEFINED),
+    ("<", 1, False, UNDEFINED),
+    ("<=", None, 1, UNDEFINED),
+    (">", True, False, UNDEFINED),
+    (">=", 1, True, UNDEFINED),
+    ("&&", 1, 1, UNDEFINED),
+    ("||", None, True, UNDEFINED),
+]
+
+
+@pytest.mark.parametrize("op,left,right,expected", OPERATOR_TABLE)
+def test_operator_table_in_both_evaluators(op, left, right, expected):
+    e = Binop(op, Lit(left), Lit(right))
+    for got in (evaluate(e, {}, {}), abs_evaluate(e, {}, {})):
+        if expected is UNDEFINED:
+            assert got is UNDEFINED
+        else:
+            assert got == expected and type(got) is type(expected)
+
+
+@pytest.mark.parametrize(
+    "op,operand,expected",
+    [("!", True, False), ("!", 1, UNDEFINED), ("-", 3, -3), ("-", True, UNDEFINED), ("-", None, UNDEFINED)],
+)
+def test_unary_operators_in_both_evaluators(op, operand, expected):
+    e = Unop(op, Lit(operand))
+    for got in (evaluate(e, {}, {}), abs_evaluate(e, {}, {})):
+        assert got is expected if expected is UNDEFINED else got == expected
+
+
+def test_unknown_operator_is_engine_fault_in_both_evaluators():
+    e = Binop("%", Lit(7), Lit(2))
+    with pytest.raises(EngineFault):
+        evaluate(e, {}, {})
+    with pytest.raises(EngineFault):
+        abs_evaluate(e, {}, {})
+
+
+@pytest.mark.parametrize("op", ["==", "!="])
+def test_comparing_futures_is_undefined_in_both_evaluators(op):
+    # multi-active: a location holding a future; cooperative: the future itself
+    store = {Loc(1): FutRef("f1"), Loc(2): Obj("C", {})}
+    for e in (Binop(op, Var("x"), Lit(1)), Binop(op, Lit(None), Var("x"))):
+        assert evaluate(e, store, {"x": Loc(1)}) is UNDEFINED
+        assert abs_evaluate(e, {}, {"x": FutRef("f1")}) is UNDEFINED
+    # references that hide no future still compare by identity
+    same = Binop(op, Var("x"), Var("y"))
+    assert evaluate(same, store, {"x": Loc(2), "y": Loc(2)}) is (op == "==")
+    assert abs_evaluate(same, {}, {"x": ObjRef(0, "a0"), "y": ObjRef(0, "a0")}) is (op == "==")
+    # every other operator leaves the future to the integer check
+    assert evaluate(Binop("+", Var("x"), Lit(1)), store, {"x": Loc(1)}) is UNDEFINED
+    assert abs_evaluate(Binop("+", Var("x"), Lit(1)), {}, {"x": FutRef("f1")}) is UNDEFINED
 
 
 def test_lemma_evaluation_equivalence_on_paired_frames():

@@ -9,10 +9,11 @@ import pytest
 from multiactive.canon import masp_digest
 from multiactive.lang import parse_masp
 from multiactive.lang.ast_expr import Binop, Lit, Var
-from multiactive.masp.engine import initial_config, label_from_detail, replay, run
+from multiactive.masp.engine import initial_config, replay, run
 from multiactive.masp.evalfn import evaluate, rename_disjoint, serialise
 from multiactive.masp.runtime import Activity, FutBinder, MaspConfig, Obj, bind
 from multiactive.masp.steps import apply_step, enabled_steps, stuck_threads
+from multiactive.steplabel import Label
 from multiactive.values import (
     UNDEFINED,
     ActRef,
@@ -335,7 +336,7 @@ def _program(name):
 @pytest.mark.parametrize("name", MASP_CORPUS + ABS_CORPUS)
 def test_seeded_run_matches_pin(name):
     _, trace = run(initial_config(_program(name)), strategy="random", seed=7, digests=False)
-    keys = "\n".join(label_from_detail(r.detail).key() for r in trace.records)
+    keys = "\n".join(Label.from_detail(r.detail).key() for r in trace.records)
     assert (len(trace.records), hashlib.sha256(keys.encode()).hexdigest()) == RUN_PINS[name]
 
 

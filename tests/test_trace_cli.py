@@ -1,15 +1,18 @@
 """Trace format round trips and the command-line surface."""
 
+import hashlib
 import json
 
 import pytest
 
 from multiactive import corpus_path
+from multiactive.absm.engine import abs_initial_config, abs_run
 from multiactive.cli import cli
 from multiactive.masp.engine import initial_config, run
 from multiactive.trace import Trace
+from multiactive.translate import translate_program
 
-from conftest import load_masp
+from conftest import ABS_CORPUS, MASP_CORPUS, load_abs, load_masp
 
 
 def test_trace_jsonl_round_trip():
@@ -120,3 +123,57 @@ def test_cli_parse_error_is_one_line(tmp_path, capsys):
     assert e.value.code == 1
     err = capsys.readouterr().err
     assert err == f"{f}:1:15: expected expression, found '='\n"
+
+
+# SHA-256 of the JSON-lines traces of seeds 0-3 under both strategies, with
+# every digest blanked (so only a record's fields, their order and the
+# terminal keys are pinned, not the digest format). "x.abs" is the
+# cooperative run, "x.abs>masp" the run of its translation.
+TRACE_PINS = {
+    "circular_hard.masp": "51e4ca891a03d2568fe4c4a4de59d26ac7992adc107ec704403b60b4ceb9523f",
+    "circular_soft.masp": "7a1c42319c5f8af5565549a397d253824947f261814700c98822dca5c0ffa9dd",
+    "peer_policy.masp": "54725352fefe6b54e30a723af000985a4f64d4a84b86a03234fba894428298d5",
+    "bank_account.abs": "1910d702bbf9bcf215c22670e421f080207f24ae620180f577b94bcc1a54ca59",
+    "leader_election.abs": "5be232e77e2b8c693f685091e1ecb58266b7922f36793c8b07db6d9d356c6f66",
+    "chat.abs": "55ca9e69f8eed032fc58ba441a0bca3c381fe11ae1464213487fd403a386ec08",
+    "mapreduce.abs": "8cbba64df67c2541d2bf46f3b1237f593b8a46235eb6a98afbd6d2dc058f9947",
+    "futures_of_futures.abs": "3d96c8174554c003306dffb8679d50ec45fbe060253c2d6f0cdff48de4173d51",
+    "bank_account.abs>masp": "3008e607dc271b690a0c78e5a4c2f935b12be59f71f41e943e07433142778e7e",
+    "leader_election.abs>masp": "ba0e35318dc687a049e16639e953ae07513f3848fd4cbf71a546a21895e81b21",
+    "chat.abs>masp": "bc5af61d93ae3c9960d34360a471da61f63eb5f60ce19d26da87e364770f50ac",
+    "mapreduce.abs>masp": "82f136b43d4b7d97783b8e8bf70033835f293dc3be7602e92b8ba4b0cdcb029d",
+    "futures_of_futures.abs>masp": "88337e400240df0799a602b8385c048f139c118964b83598bc6677d51d0c6634",
+}
+
+
+def _blank_digests(text: str) -> str:
+    out = []
+    for line in text.splitlines():
+        obj = json.loads(line)
+        for key in ("config_digest", "final_digest"):
+            if obj.get(key):
+                obj[key] = "*"
+        out.append(json.dumps(obj, sort_keys=True))
+    return "\n".join(out)
+
+
+@pytest.mark.parametrize(
+    "name", MASP_CORPUS + ABS_CORPUS + [n + ">masp" for n in ABS_CORPUS]
+)
+def test_seeded_trace_records_match_pin(name):
+    assert _trace_hash(name) == TRACE_PINS[name]
+
+
+def _trace_hash(name):
+    if name.endswith(".masp"):
+        cfg, runner = initial_config(load_masp(name)), run
+    elif name.endswith(".abs"):
+        cfg, runner = abs_initial_config(load_abs(name)), abs_run
+    else:
+        cfg, runner = initial_config(translate_program(load_abs(name[:-5]))), run
+    h = hashlib.sha256()
+    for seed in range(4):
+        for strategy in ("fifo-eager", "random"):
+            _, trace = runner(cfg, strategy=strategy, seed=seed)
+            h.update(_blank_digests(trace.to_jsonl()).encode())
+    return h.hexdigest()
