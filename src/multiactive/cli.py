@@ -150,8 +150,12 @@ def _cmd_check_sim(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    with open(args.file, encoding="utf-8") as fh:
-        trace = Trace.from_jsonl(fh.read())
+    try:
+        with open(args.file, encoding="utf-8") as fh:
+            trace = Trace.from_jsonl(fh.read())
+    except ValueError as err:  # undecodable bytes included
+        print(f"{args.file}: {err}", file=sys.stderr)
+        return 1
     if args.format == "json":
         sys.stdout.write(trace.to_jsonl())
         return 0

@@ -23,11 +23,36 @@ the dataclass fields (``==`` and ``hash`` ignore them):
   flag saying it holds no ``RuntimeVal``, no ``MethodLit`` naming a
   ``condition_<k>`` method and no bool. Two such trees match exactly
   when they are ``==``, so the structural walk stops there.
+
+Activities are immutable too, and successor pairs share most of them
+along with the cooperative objects, so a third memo lives on each
+multi-active ``Activity``: the verdict of the cog check against one cog's
+cooperative objects. Its key is the cog name, the ``relaxed`` flag, the
+temporary prefix, and the program and the member objects (in order) by
+identity. The entry holds the program and the members, so their ids
+cannot be reused while it lives, and it dies with the activity. Beyond
+its key, a cog check reads exactly three things, its footprint:
+
+- the future bijection (``fut_map``/``rev_map``, by ``_settle`` and
+  ``EquivContext.pair``, trial copies included);
+- the cooperative futures (``cn.futures`` in ``value_equiv``);
+- ``_predict_future``, which reads the whole multi-active configuration.
+
+A miss records each name it looked up with the answer at the start of the
+check, and the pairings it added. ``pair`` only ever adds names, so the
+added pairings are the maps' newest entries and every other name answers
+as it did at the start. A hit re-asks each recorded read against the
+current ``(cn, mcn, ctx)`` and, only if every answer is the same, returns
+the stored verdict and reason and adds the stored pairings in their order.
+The check is deterministic in its key and these answers, so a hit returns
+exactly what a fresh check would, bijection included.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
+from typing import NamedTuple
 
 from .absm.runtime import AbsConfig, Ob, Process, RGFut
 from .lang.ast_abs import AAssign, AAwait, AReturn, GFut
@@ -60,12 +85,19 @@ class EquivContext:
     rev_map: dict = field(default_factory=dict)
     prefix: str = "§"
     mcn: object = None
+    # while a cog check is being memoized: what it reads outside its key
+    reads: "_Reads" = field(default=None, repr=False, compare=False)
 
     def copy(self) -> "EquivContext":
-        return EquivContext(dict(self.fut_map), dict(self.rev_map), self.prefix, self.mcn)
+        return EquivContext(
+            dict(self.fut_map), dict(self.rev_map), self.prefix, self.mcn, self.reads
+        )
 
     def pair(self, abs_f: str, masp_f: str) -> bool:
         """Record a pairing; False on clash with an existing one."""
+        if self.reads is not None:
+            self.reads.fut.add(abs_f)
+            self.reads.rev.add(masp_f)
         if self.fut_map.get(abs_f, masp_f) != masp_f:
             return False
         if self.rev_map.get(masp_f, abs_f) != abs_f:
@@ -108,13 +140,17 @@ def value_equiv(v, w, store, cn: AbsConfig, ctx: EquivContext = None, _seen=None
         return cog == ActRef(v.cog) and ident == v.ident
     if isinstance(v, FutRef):
         val = cn.futures.get(v.name, UNRESOLVED)
+        if ctx.reads is not None:
+            ctx.reads.futures[v.name] = val
         if val is not UNRESOLVED and value_equiv(val, w, store, cn, ctx, _seen):
             return True
     return False
 
 
 def _guard_key(v, w):
-    return repr(v), id(w) if isinstance(w, Obj) else repr(w)
+    # type-tagged, so that True and 1 stay apart; an Obj (unhashable, its
+    # fields are a dict) by identity
+    return type(v), v, id(w) if type(w) is Obj else (type(w), w)
 
 
 def _settle(v, w, ctx):
@@ -124,6 +160,9 @@ def _settle(v, w, ctx):
     if isinstance(v, ActRef) and isinstance(w, ActRef):
         return v.name == w.name
     if isinstance(v, FutRef) and isinstance(w, FutRef):
+        if ctx.reads is not None:
+            ctx.reads.fut.add(v.name)
+            ctx.reads.rev.add(w.name)
         if ctx.fut_map.get(v.name) == w.name:
             return True
         if v.name not in ctx.fut_map and w.name not in ctx.rev_map:
@@ -153,14 +192,21 @@ def _predict_future(fname: str, ctx) -> object:
     """The determined value of a pending id-allocation future, if any."""
     if ctx is None or ctx.mcn is None:
         return None
-    binder = ctx.mcn.futures.get(fname)
+    value = _predicted(fname, ctx.mcn)
+    if ctx.reads is not None:
+        ctx.reads.predicted[fname] = value
+    return value
+
+
+def _predicted(fname: str, mcn) -> object:
+    binder = mcn.futures.get(fname)
     if binder is None:
         return None
     if binder.resolved:
         return binder.value if is_primitive(binder.value) else None
     if binder.method != "freshId":
         return None
-    for act in ctx.mcn.activities.values():
+    for act in mcn.activities.values():
         ahead = 0
         for q in act.queue:
             if q.future == fname:
@@ -576,7 +622,92 @@ def config_equiv(
     return True, "", ctx
 
 
+class _Reads:
+    """What a cog check reads outside its memo key: the names it looks up
+    in each direction of the future bijection, and what ``cn.futures`` and
+    ``_predict_future`` answer, by future name."""
+
+    __slots__ = ("fut", "rev", "futures", "predicted")
+
+    def __init__(self):
+        self.fut, self.rev = set(), set()
+        self.futures, self.predicted = {}, {}
+
+
+class _Verdict(NamedTuple):
+    """A memoized cog check: its result, its reads with their answers at
+    the start of the check, and the pairings it added, in order."""
+
+    keep: tuple  # the program and members, so the key's ids stay taken
+    ok: bool
+    reason: str
+    fut: tuple  # (abs name, masp name or None)
+    rev: tuple  # (masp name, abs name or None)
+    futures: tuple  # (name, cn.futures answer)
+    predicted: tuple  # (name, _predict_future answer)
+    fut_added: tuple
+    rev_added: tuple
+
+    def holds(self, cn, mcn, ctx) -> bool:
+        """Does every read answer the same against ``(cn, mcn, ctx)``?"""
+        for a, m in self.fut:
+            if ctx.fut_map.get(a) != m:
+                return False
+        for m, a in self.rev:
+            if ctx.rev_map.get(m) != a:
+                return False
+        for f, v in self.futures:
+            if not _same(cn.futures.get(f, UNRESOLVED), v):
+                return False
+        for f, v in self.predicted:
+            if not _same(_predicted(f, mcn), v):
+                return False
+        return True
+
+
+def _same(a, b) -> bool:
+    return a is b or (type(a) is type(b) and a == b)
+
+
 def _cog_equiv(cn, mcn, cog, act, members, ctx, relaxed=False):
+    """``_check_cog``, memoized on the activity: a stored verdict is reused
+    when the check's reads outside the key answer as they did."""
+    program = mcn.program
+    key = (cog, relaxed, ctx.prefix, id(program), *map(id, members.values()))
+    memo = act.__dict__.get("_cog_memo")
+    if memo is None:
+        memo = {}
+        object.__setattr__(act, "_cog_memo", memo)
+    fut_map, rev_map = ctx.fut_map, ctx.rev_map
+    hit = memo.get(key)
+    if hit is not None and hit.holds(cn, mcn, ctx):
+        fut_map.update(hit.fut_added)
+        rev_map.update(hit.rev_added)
+        return hit.ok, hit.reason
+    n_fut, n_rev = len(fut_map), len(rev_map)
+    ctx.reads = reads = _Reads()
+    ok, reason = _check_cog(cn, mcn, cog, act, members, ctx, relaxed)
+    ctx.reads = None
+    # pair() only ever adds names, so the check's pairings are the maps'
+    # newest entries, and every other name answers as it did at the start
+    fut_added = tuple(islice(fut_map.items(), n_fut, None))
+    rev_added = tuple(islice(rev_map.items(), n_rev, None))
+    new_fut, new_rev = dict(fut_added), dict(rev_added)
+    memo[key] = _Verdict(
+        (program, tuple(members.values())),
+        ok,
+        reason,
+        tuple((a, None if a in new_fut else fut_map.get(a)) for a in reads.fut),
+        tuple((m, None if m in new_rev else rev_map.get(m)) for m in reads.rev),
+        tuple(reads.futures.items()),
+        tuple(reads.predicted.items()),
+        fut_added,
+        rev_added,
+    )
+    return ok, reason
+
+
+def _check_cog(cn, mcn, cog, act, members, ctx, relaxed=False):
     """``members``: the cog's objects by identifier."""
     # (1b)/(1c): objects against registered (or in-flight) copies
     witness = {}

@@ -51,36 +51,40 @@ class Trace:
 
     @classmethod
     def from_jsonl(cls, text: str) -> "Trace":
+        """Parse ``to_jsonl`` output; ValueError, naming the line, if the
+        text is not such a trace."""
         header, records, terminal = None, [], {}
-        for line in text.splitlines():
+        for n, line in enumerate(text.splitlines(), 1):
             if not line.strip():
                 continue
-            obj = json.loads(line)
-            if obj.get("type") == "header":
-                header = obj
-            elif obj.get("type") == "terminal":
-                terminal = {k: v for k, v in obj.items() if k != "type"}
-            else:
-                records.append(
-                    StepRecord(
-                        obj["index"],
-                        obj["rule"],
-                        obj["activity"],
-                        obj.get("request_future"),
-                        obj.get("method"),
-                        obj.get("detail", {}),
-                        obj["config_digest"],
+            try:
+                obj = json.loads(line)
+                kind = obj.get("type")
+                if kind == "header":
+                    header = (obj["program_digest"], obj["strategy"], obj["seed"])
+                elif kind == "terminal":
+                    terminal = {k: v for k, v in obj.items() if k != "type"}
+                else:
+                    records.append(
+                        StepRecord(
+                            obj["index"],
+                            obj["rule"],
+                            obj["activity"],
+                            obj.get("request_future"),
+                            obj.get("method"),
+                            obj.get("detail", {}),
+                            obj["config_digest"],
+                        )
                     )
-                )
+            except json.JSONDecodeError as err:
+                raise ValueError(f"line {n}: not JSON ({err.msg})") from None
+            except KeyError as err:
+                raise ValueError(f"line {n}: missing key {err}") from None
+            except AttributeError:
+                raise ValueError(f"line {n}: not a JSON object") from None
         if header is None:
             raise ValueError("trace has no header line")
-        return cls(
-            header["program_digest"],
-            header["strategy"],
-            header["seed"],
-            records,
-            terminal,
-        )
+        return cls(*header, records, terminal)
 
 
 @dataclass(frozen=True, slots=True)

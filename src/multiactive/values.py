@@ -134,9 +134,11 @@ _INT_OPS = {"+": add, "-": sub, "*": mul, "/": floordiv, "<": lt, "<=": le, ">":
 
 def binop(op, l, r):
     """``==``/``!=`` on any values (each evaluator first rules out operands
-    hiding a future), ``&&``/``||`` on booleans, the rest on integers."""
+    hiding a future; a boolean never equals an integer), ``&&``/``||`` on
+    booleans, the rest on integers."""
     if op == "==" or op == "!=":
-        return (l == r) if op == "==" else (l != r)
+        eq = isinstance(l, bool) == isinstance(r, bool) and l == r
+        return eq if op == "==" else not eq
     if op == "&&" or op == "||":
         if isinstance(l, bool) and isinstance(r, bool):
             return (l and r) if op == "&&" else (l or r)

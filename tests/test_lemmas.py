@@ -142,6 +142,12 @@ OPERATOR_TABLE = [
     (">=", 1, True, UNDEFINED),
     ("&&", 1, 1, UNDEFINED),
     ("||", None, True, UNDEFINED),
+    # a boolean never equals an integer
+    ("==", True, 1, False),
+    ("==", 0, False, False),
+    ("!=", False, 0, True),
+    ("!=", 1, True, True),
+    ("==", True, True, True),
 ]
 
 

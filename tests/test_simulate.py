@@ -4,6 +4,9 @@ The full corpus budgets live in the acceptance suite; these tests keep
 budgets small and inspect the matched rule rows.
 """
 
+import hashlib
+import json
+
 import pytest
 
 from multiactive.lang import parse_abs
@@ -168,15 +171,40 @@ def test_report_json_shape(simple_forward):
 
 
 # (direction, program, depth) -> (states, steps_checked, matched,
-# prescribed rows, outside_fragment) at width 10^4. A memo that changed
-# which match is found would move these counts.
+# prescribed rows, outside_fragment) at width 10^4, and the SHA-256 of the
+# whole report: to_json() without elapsed_s, plus its rows. A memo that
+# changed which match is found would move the hash even where the counts
+# stay.
 PINNED_REPORTS = {
-    ("forward", "mapreduce.abs", 16): (188, 407, 407, 273, 0),
-    ("backward", "mapreduce.abs", 20): (398, 579, 579, 0, 0),
-    ("forward", "chat.abs", 10): (19, 21, 21, 5, 0),
-    ("backward", "chat.abs", 16): (165, 221, 221, 0, 0),
-    ("forward", "bank_account.abs", 30): (53, 96, 88, 53, 8),
+    ("forward", "mapreduce.abs", 16): (
+        (188, 407, 407, 273, 0),
+        "c0437d806b4358672be629db5fbb6c72f1abada3f454f04a808e09718bc7af46",
+    ),
+    ("backward", "mapreduce.abs", 20): (
+        (398, 579, 579, 0, 0),
+        "a6a9cd0c78626592122596e749a0d805c3e3f873d1a034013a14d5d171ab1932",
+    ),
+    ("forward", "chat.abs", 10): (
+        (19, 21, 21, 5, 0),
+        "1de8f831049918523c3598b0e4768825bef5363743b57d538b28f3fa7f39b69e",
+    ),
+    ("backward", "chat.abs", 16): (
+        (165, 221, 221, 0, 0),
+        "2797df65d696da5c05a7111a86c1dec5d1d3e99297c6d3176f77c56f4ae692f8",
+    ),
+    ("forward", "bank_account.abs", 30): (
+        (53, 96, 88, 53, 8),
+        "4bfb5a370b7f80bffc4128e079d0b0c870e7adb3ead5f242e9efa1d21fcd0360",
+    ),
 }
+
+
+def report_sha256(rep) -> str:
+    """SHA-256 of every report field but the elapsed time, rows included."""
+    j = rep.to_json()
+    del j["elapsed_s"]
+    j["rows"] = rep.rows
+    return hashlib.sha256(json.dumps(j, sort_keys=True).encode()).hexdigest()
 
 
 @pytest.mark.parametrize(
@@ -190,5 +218,7 @@ def test_simulation_reports_are_pinned(case):
     rep = check(load_abs(name), depth, 10_000)
     prescribed = sum(1 for r in rep.rows if r.get("via") == "prescribed")
     got = (rep.states, rep.steps_checked, rep.matched, prescribed, rep.outside_fragment)
-    assert got == PINNED_REPORTS[case]
+    counts, sha = PINNED_REPORTS[case]
+    assert got == counts
+    assert report_sha256(rep) == sha
     assert rep.failures == [] and not rep.truncated and rep.skipped_restriction == 0

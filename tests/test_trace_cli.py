@@ -95,6 +95,23 @@ def test_cli_trace_dump(tmp_path, capsys):
     assert "strategy=fifo-eager" in shown
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ('{"type":"header"}\n', "line 1: missing key 'program_digest'"),
+        ("not json\n", "line 1: not JSON (Expecting value)"),
+    ],
+    ids=["header-without-fields", "not-json"],
+)
+def test_cli_trace_dump_malformed_is_one_line(tmp_path, capsys, text, message):
+    f = tmp_path / "bad.jsonl"
+    f.write_text(text)
+    assert cli(["trace", "dump", str(f)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"{f}: {message}\n"
+    assert captured.out == ""
+
+
 def test_cli_usage_error_is_two(capsys):
     with pytest.raises(SystemExit) as e:
         cli(["run"])  # missing file argument
