@@ -2,7 +2,10 @@
 
 Objects are global configuration entries (no per-activity store); a cog
 entry names the single object allowed to run. Futures map to their value
-or stay unresolved. Immutability discipline as in the sibling engine.
+or stay unresolved. Immutability discipline as in the sibling engine:
+`steps` memoizes on each `Ob` the successor object of every local step
+applied to it (`_next`, see `steplabel.memo_step`), and `canon` its shape
+(`_canon`) and, on a cog's first member, the cog's shape (`_cog`).
 """
 
 from __future__ import annotations

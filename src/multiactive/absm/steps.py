@@ -28,7 +28,7 @@ from ..lang.ast_abs import (
     GFut,
 )
 from ..lang.ast_expr import RuntimeVal
-from ..steplabel import Label
+from ..steplabel import Label, memo_step
 from ..values import (
     UNDEFINED,
     UNRESOLVED,
@@ -265,7 +265,16 @@ def abs_apply_step(config: AbsConfig, label: Label) -> AbsConfig:
     handler = _RULES.get(label.rule)
     if handler is None:
         raise EngineFault(f"unknown rule {label.rule}")
+    if label.rule in _LOCAL:
+        ob = config.objects.get(ObjRef(label.extra[0], label.activity))
+        if ob is not None:
+            return memo_step(config, ob, label, handler, _outcome, AbsConfig.with_object)
     return handler(config, label)
+
+
+def _outcome(config, new, ob, label) -> tuple:
+    """What a local rule did, for `memo_step`: it read no future."""
+    return new.objects[ob.name], None, None, None
 
 
 def _ob(config, label) -> Ob:
@@ -647,3 +656,9 @@ _RULES = {
     "Self-Sync-Return-Sched": _apply_self_sync_return,
     "Cog-Sync-Return-Sched": _apply_cog_sync_return,
 }
+
+# the rules that read and write nothing but their own object, so
+# `abs_apply_step` memoizes them on it
+_LOCAL = frozenset(
+    {"Skip", "Cond-True", "Cond-False", "Assign-Local", "Assign-Field", "Suspend"}
+)

@@ -18,8 +18,12 @@ from .translate import TranslateError, translate_program
 
 
 def _load(path: str):
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as err:
+        print(f"{path}: not UTF-8 text (byte {err.start})", file=sys.stderr)
+        raise SystemExit(1)
     if path.endswith(".abs"):
         parse = parse_abs
     elif path.endswith(".masp"):
@@ -169,8 +173,26 @@ def _cmd_trace(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors as one line on stderr, exit code 2."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _bound(text: str) -> int:
+    """A depth, width or budget: a non-negative integer."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="multiactive",
         description="interpreters, translator and simulation checkers for"
         " multi-active and cooperative active objects",
@@ -180,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="execute one deterministic schedule")
     p.add_argument("file")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=10000)
+    p.add_argument("--budget", type=_bound, default=10000)
     p.add_argument("--strategy", choices=("fifo-eager", "random"), default="fifo-eager")
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.add_argument("--trace", help="write the JSON-lines trace here")
@@ -193,15 +215,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("explore", help="bounded exploration with property checks")
     p.add_argument("file")
-    p.add_argument("--depth", type=int, default=60)
-    p.add_argument("--width", type=int, default=100000)
+    p.add_argument("--depth", type=_bound, default=60)
+    p.add_argument("--width", type=_bound, default=100000)
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.set_defaults(fn=_cmd_explore)
 
     p = sub.add_parser("check-sim", help="weak-simulation check of the translation")
     p.add_argument("file")
-    p.add_argument("--depth", type=int, default=30)
-    p.add_argument("--width", type=int, default=10000)
+    p.add_argument("--depth", type=_bound, default=30)
+    p.add_argument("--width", type=_bound, default=10000)
     p.add_argument(
         "--direction", choices=("forward", "backward", "both"), default="both"
     )
@@ -227,7 +249,7 @@ def cli(argv=None) -> int:
             print(e.code, file=sys.stderr)
             return 2
         raise
-    except FileNotFoundError as e:
+    except OSError as e:  # a path that cannot be read or written
         print(e, file=sys.stderr)
         return 2
 

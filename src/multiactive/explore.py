@@ -90,8 +90,9 @@ def explore(
     mode: str = "explore",
     time_budget: float = None,
 ) -> ExplorationResult:
-    """BFS up to ``depth`` levels, ``width`` distinct canonical states, or
-    ``time_budget`` seconds (checked before each expansion)."""
+    """BFS up to ``depth`` levels, ``width`` distinct canonical states (the
+    root counts, so at least one), or ``time_budget`` seconds (checked
+    before each expansion)."""
     deadline = None if time_budget is None else time.monotonic() + time_budget
     enabled, apply_fn, digest_fn = _dispatch(config)
     result = ExplorationResult()
@@ -147,6 +148,8 @@ def explore(
             for label, succ, sd in succs:
                 if sd in parents:
                     continue
+                if visited >= width:  # only when width < 2: the root filled it
+                    break
                 parents[sd] = (digest, label)
                 visited += 1
                 check_state(succ, sd)

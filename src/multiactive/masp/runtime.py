@@ -7,7 +7,9 @@ freely between exploration branches.
 Because an `Activity` never changes, other modules memoize what they
 derive from it on the instance itself, outside the dataclass fields:
 `steps` its own enabled labels and future cells (`_labels`, which read
-only the activity and the program), `canon` its shape (`_canon`),
+only the activity and the program) and the successor activity of each
+local step applied to it (`_next`, see `steplabel.memo_step`), `canon`
+its shape (`_canon`),
 `explore` what its store-closure, safe-parallelism and thread-limits
 checks find, and `equiv` its verdicts against cooperative cogs
 (`_cog_memo`). `update` copies only the fields, so no memo reaches a

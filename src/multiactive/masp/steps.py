@@ -7,6 +7,17 @@ mentions, leaving the rest of the configuration shared.
 Every rule but `Update` reads only its own activity and the program, so
 each `Activity` memoizes its own labels and future cells (`_labels`);
 a state adds only the `Update` labels that its futures allow.
+
+The results of local rules are memoized on the activity too (`_next`,
+through `steplabel.memo_step`), so both orders of a commuting diamond
+share one successor activity, with its memos. The local rules write
+nothing but their own activity: Serve, Skip, Set-*-Limit, Cond-*,
+Assign-*, New-Object, Invk-Passive, Invk-Future, Return-Local,
+Activate-Thread, Update and Return. Each reads only the activity and the
+program, except `Update`, which reads the binder of its cell's future,
+and `Return`, which reads its request's binder and writes a resolved one
+in its place. New-Active and Invk-Active* read the counters or a second
+activity, and are never memoized.
 """
 
 from __future__ import annotations
@@ -14,7 +25,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..lang.ast_expr import RuntimeVal
-from ..steplabel import Label
+from ..steplabel import Label, memo_step
 from ..lang.ast_masp import (
     MAssign,
     MIf,
@@ -316,7 +327,27 @@ def apply_step(config: MaspConfig, label: Label) -> MaspConfig:
     handler = _RULES.get(label.rule)
     if handler is None:
         raise EngineFault(f"unknown rule {label.rule}")
+    if label.rule in _LOCAL:
+        act = config.activities.get(label.activity)
+        if act is not None:
+            return memo_step(
+                config, act, label, handler, _outcome, MaspConfig.with_activity
+            )
     return handler(config, label)
+
+
+def _outcome(config, new, act, label) -> tuple:
+    """What a local rule did, for `memo_step`: ``Update`` read the binder
+    of its cell's future, ``Return`` read and replaced its request's."""
+    succ = new.activities[label.activity]
+    rule = label.rule
+    if rule == "Update":
+        fut = act.store[Loc(label.extra[0])].name
+        return succ, fut, config.futures[fut], None
+    if rule == "Return":
+        fut = act.current[label.future].request.future
+        return succ, fut, config.futures[fut], new.futures[fut]
+    return succ, None, None, None
 
 
 def _activity(config, label) -> Activity:
@@ -699,6 +730,10 @@ _RULES = {
     "Update": _apply_update,
     "Activate-Thread": _apply_activate,
 }
+
+# the rules that write nothing but their own activity (and, for `Return`,
+# its request's binder), so `apply_step` memoizes them on the activity
+_LOCAL = frozenset(_RULES) - {"New-Active", "Invk-Active", "Invk-Active-Self"}
 
 
 def stuck_threads(config: MaspConfig) -> list:

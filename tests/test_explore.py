@@ -209,3 +209,13 @@ class Srv() {
     skip = Label("Skip", "a1", "f1")
     assert fifo(queued, swapped, skip) == ["a1: queue order changed under Skip"]
     assert fifo(queued, queued, skip) == []
+
+
+def test_width_caps_the_states_reported():
+    cfg = initial_config(load_masp("peer_policy.masp"))
+    full = explore(cfg, depth=60, width=100, properties=default_properties(cfg))
+    assert full.states_visited == 100
+    for width in (0, 1, 2, 3):
+        r = explore(cfg, depth=60, width=width, properties=default_properties(cfg))
+        assert r.states_visited == max(width, 1)
+        assert r.frontier_truncated

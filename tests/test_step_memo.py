@@ -1,0 +1,247 @@
+"""The step memo of both engines against the rule handlers run fresh.
+
+Every ``apply_step``/``abs_apply_step`` call that ``explore`` makes on the
+corpus and on ``genprog`` programs is repeated by the rule's handler on a
+field-for-field copy of the configuration, down to each activity and
+object, which carries no memo; the two successors must be equal and have
+equal digests. The hand-built cases pin what a memo entry reads: the
+node, the program and, for ``Update``/``Return``, one future's binder.
+"""
+
+import gc
+import importlib
+import random
+from collections import Counter
+
+import pytest
+
+import multiactive.absm.steps as abs_steps
+import multiactive.masp.steps as masp_steps
+from genprog import gen_runnable_abs, gen_runnable_masp
+from multiactive.absm.engine import abs_initial_config
+from multiactive.canon import abs_digest, masp_digest
+from multiactive.explore import default_properties, explore
+from multiactive.lang import parse_masp
+from multiactive.masp.engine import initial_config
+from multiactive.masp.runtime import MaspConfig
+from multiactive.masp.steps import apply_step, enabled_steps
+from multiactive.translate import translate_program
+from multiactive.values import evolve
+
+from conftest import ABS_CORPUS, MASP_CORPUS, load_abs, load_masp
+
+# the package re-exports the function ``explore`` under the module's name
+explore_mod = importlib.import_module("multiactive.explore")
+
+
+def _rebuilt(config):
+    """A copy of ``config`` down to each activity or object, so no memo
+    on the originals reaches it."""
+    if isinstance(config, MaspConfig):
+        return config.update(
+            activities={n: evolve(a, {}) for n, a in config.activities.items()}
+        )
+    return config.update(objects={r: evolve(o, {}) for r, o in config.objects.items()})
+
+
+@pytest.fixture
+def differential(monkeypatch):
+    """Checks every step ``explore`` applies; returns per-rule counts of
+    local steps taken and of handler runs (the memo's misses)."""
+    counts = {"steps": Counter(), "handled": Counter()}
+    for engine, name, digest in (
+        (masp_steps, "apply_step", masp_digest),
+        (abs_steps, "abs_apply_step", abs_digest),
+    ):
+        handlers = dict(engine._RULES)
+        for rule in engine._LOCAL:
+            monkeypatch.setitem(engine._RULES, rule, _counted(handlers[rule], counts))
+        checked = _checked(getattr(engine, name), handlers, engine._LOCAL, digest, counts)
+        monkeypatch.setattr(explore_mod, name, checked)
+    return counts
+
+
+def _counted(handler, counts):
+    def run(config, label):
+        counts["handled"][label.rule] += 1
+        return handler(config, label)
+
+    return run
+
+
+def _checked(apply_fn, handlers, local, digest, counts):
+    def step(config, label):
+        got = apply_fn(config, label)
+        want = handlers[label.rule](_rebuilt(config), label)
+        assert got == want, label.key()
+        assert digest(got) == digest(want), label.key()
+        if label.rule in local:
+            counts["steps"][label.rule] += 1
+        return got
+
+    return step
+
+
+def _hits(counts) -> int:
+    return sum(counts["steps"].values()) - sum(counts["handled"].values())
+
+
+def _corpus_config(name):
+    if name.endswith(".masp"):
+        return initial_config(load_masp(name))
+    if name.endswith(".abs"):
+        return abs_initial_config(load_abs(name))
+    return initial_config(translate_program(load_abs(name[: -len(">masp")])))
+
+
+@pytest.mark.parametrize(
+    "name", MASP_CORPUS + ABS_CORPUS + [n + ">masp" for n in ABS_CORPUS]
+)
+def test_memoized_steps_match_fresh_on_corpus(name, differential):
+    cfg = _corpus_config(name)
+    explore(cfg, depth=60, width=1500, properties=default_properties(cfg))
+    assert _hits(differential) > 0
+
+
+def test_memoized_steps_match_fresh_on_generated_programs(differential):
+    rng = random.Random(8)
+    configs = []
+    for _ in range(25):
+        program = gen_runnable_abs(rng)
+        configs.append(abs_initial_config(program))
+        configs.append(initial_config(translate_program(program)))
+    configs += [initial_config(gen_runnable_masp(rng)) for _ in range(25)]
+    for cfg in configs:
+        explore(cfg, depth=20, width=150, properties=default_properties(cfg))
+    assert _hits(differential) > 0
+
+
+# -- hand-built cases -----------------------------------------------------------
+
+_BOX = """
+class Box(v) {
+  method get() { return v }
+}
+{
+  vars b, f, x, y;
+  b = newActive Box(3);
+  f = b.get();
+  x = 1;
+  y = f + x
+}
+"""
+
+
+def _steps(config, *rules):
+    """Apply the first enabled label of each rule in turn."""
+    for rule in rules:
+        config = apply_step(config, _label(config, rule))
+    return config
+
+
+def _ready():
+    """Main has called ``b.get()``: its ``x = 1`` and Box's ``Serve`` wait."""
+    return _steps(
+        initial_config(parse_masp(_BOX)),
+        "New-Active",
+        "Assign-Local",
+        "Invk-Active",
+        "Assign-Local",
+    )
+
+
+def _label(config, rule):
+    return next(l for l in enabled_steps(config) if l.rule == rule)
+
+
+def _fresh(config, label):
+    return masp_steps._RULES[label.rule](_rebuilt(config), label)
+
+
+def _entry(config, label):
+    return config.activities[label.activity].__dict__.get("_next", {}).get(label)
+
+
+def test_both_orders_of_a_diamond_share_each_node():
+    s = _ready()
+    assign, serve = _label(s, "Assign-Local"), _label(s, "Serve")
+    left = apply_step(apply_step(s, assign), serve)
+    right = apply_step(apply_step(s, serve), assign)
+    assert left == right
+    assert assign.activity != serve.activity
+    for name in (assign.activity, serve.activity):
+        assert left.activities[name] is right.activities[name]
+
+
+def test_update_misses_when_the_binder_is_another_object():
+    s = _steps(_ready(), "Serve", "Return")
+    update = _label(s, "Update")
+    first = apply_step(s, update)
+    binder = s.futures[update.future]
+    other = s.update(futures={**s.futures, update.future: evolve(binder, {"value": 5})})
+    second = apply_step(other, update)
+    assert second == _fresh(other, update)
+    assert second != first
+    # the same binder again hits the entry the second call left
+    assert apply_step(other, update).activities[update.activity] is second.activities[
+        update.activity
+    ]
+
+
+def test_return_hands_its_binder_on_so_update_hits():
+    s = _steps(_ready(), "Serve")
+    ret = _label(s, "Return")
+    one, two = apply_step(s, ret), apply_step(s, ret)
+    assert one.futures[ret.future] is two.futures[ret.future]
+    update = _label(one, "Update")
+    assert (
+        apply_step(one, update).activities[update.activity]
+        is apply_step(two, update).activities[update.activity]
+    )
+
+
+def test_an_entry_whose_successor_was_collected_recomputes():
+    s = _ready()
+    assign = _label(s, "Assign-Local")
+    apply_step(s, assign)
+    gc.collect()
+    assert _entry(s, assign)[3]() is None
+    again = apply_step(s, assign)
+    assert again == _fresh(s, assign)
+    assert _entry(s, assign)[3]() is again.activities[assign.activity]
+
+
+def test_another_program_misses():
+    s = _ready()
+    assign = _label(s, "Assign-Local")
+    first = apply_step(s, assign)
+    moved = s.update(program=parse_masp(_BOX))
+    second = apply_step(moved, assign)
+    assert second == first
+    assert second.activities[assign.activity] is not first.activities[assign.activity]
+
+
+def test_non_local_rules_store_no_entry():
+    s = initial_config(parse_masp(_BOX))
+    for rule in ("New-Active", "Assign-Local", "Invk-Active"):
+        label = _label(s, rule)
+        nxt = apply_step(s, label)
+        assert (_entry(s, label) is None) == (rule != "Assign-Local")
+        s = nxt
+    cfg = abs_initial_config(load_abs("bank_account.abs"))
+    applied = set()
+    for _ in range(100):
+        labels = abs_steps.abs_enabled_steps(cfg)
+        if not labels:
+            break
+        label = next((l for l in labels if l.rule in _ABS_GLOBAL), labels[0])
+        nxt = abs_steps.abs_apply_step(cfg, label)
+        if label.rule in _ABS_GLOBAL:
+            applied.add(label.rule)
+            for ob in cfg.objects.values():
+                assert label not in ob.__dict__.get("_next", {})
+        cfg = nxt
+    assert applied == set(_ABS_GLOBAL)
+
+
+_ABS_GLOBAL = ("Release-Cog", "Activate")

@@ -194,3 +194,43 @@ def _trace_hash(name):
             _, trace = runner(cfg, strategy=strategy, seed=seed)
             h.update(_blank_digests(trace.to_jsonl()).encode())
     return h.hexdigest()
+
+
+def test_cli_directory_is_two(tmp_path, capsys):
+    d = tmp_path / "dir.masp"
+    d.mkdir()
+    assert cli(["explore", str(d)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Is a directory" in err
+
+
+def test_cli_undecodable_source_is_one(tmp_path, capsys):
+    f = tmp_path / "bad.abs"
+    f.write_bytes(b"{ vars x; x = 1 }\n\xff\xfe")
+    with pytest.raises(SystemExit) as e:
+        cli(["run", str(f)])
+    assert e.value.code == 1
+    assert capsys.readouterr().err == f"{f}: not UTF-8 text (byte 18)\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-sim", "chat.abs", "--depth", "-2"],
+        ["check-sim", "chat.abs", "--width", "-1"],
+        ["explore", "peer_policy.masp", "--depth", "-1"],
+        ["explore", "peer_policy.masp", "--width", "-5"],
+        ["run", "peer_policy.masp", "--budget", "-3"],
+    ],
+    ids=lambda a: f"{a[0]}{a[2]}",
+)
+def test_cli_negative_bound_is_two(argv, capsys):
+    command, name, flag, value = argv
+    with pytest.raises(SystemExit) as e:
+        cli([command, str(corpus_path(name)), flag, value])
+    assert e.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"multiactive {command}: error: argument {flag}: must not be negative, got {value}\n"
+    )
+    assert captured.out == ""
