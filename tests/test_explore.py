@@ -1,6 +1,10 @@
 """Bounded exploration, built-in properties, worker independence."""
 
+import hashlib
 import importlib
+import json
+
+import pytest
 
 from multiactive.absm.engine import abs_initial_config
 from multiactive.explore import MASP_PROPERTIES, Property, default_properties, explore
@@ -219,3 +223,35 @@ def test_width_caps_the_states_reported():
         r = explore(cfg, depth=60, width=width, properties=default_properties(cfg))
         assert r.states_visited == max(width, 1)
         assert r.frontier_truncated
+
+
+# SHA-256 of ``explore(...).to_json()`` (keys sorted) at depth 60 / width
+# 1,500 with the default properties. "x.abs>masp" explores the translation.
+EXPLORE_PINS = {
+    "circular_hard.masp": "b52531483eafba34bf22a27d5533fd22e6538e16c7aea28cd3148ce5819edc08",
+    "circular_soft.masp": "98aae29ae93c688847608e980a22de4b2ce62d23f53f7ba89edb53c7e4692d1e",
+    "peer_policy.masp": "d6dbacc5e52a43b3a96372286572d566f6a2037794109e56199b178b4911004b",
+    "bank_account.abs": "d3e5d53084d493e3a232bbd9d456e9c64af5cadb74211ee854c3a6435385df97",
+    "leader_election.abs": "9ae4bb0ab1dad84e2e7c6276d4f96d3e940dbaddb37d7af849f3b0c953256b98",
+    "chat.abs": "0c8860ce8c6a47b3223b64bc75ae317118a05719f8f6c8146b0a63185e9c7eac",
+    "mapreduce.abs": "faee9c76e1eb42f8b0346b17210fc3555477b1186f745881490a1f5d07bd3300",
+    "futures_of_futures.abs": "42de17447fc86f2214b59b51e41f5fe0807f4e5f26432fbb60c58182efca4df2",
+    "bank_account.abs>masp": "48f62be5b3debafb415f313941a35142b7c87e4721d719b7dca205abbe3d60ce",
+    "leader_election.abs>masp": "20f3bcab0bd7bec84028c3fb041bd3655759e58e11b06d8f2b710884843cbbee",
+    "chat.abs>masp": "48f62be5b3debafb415f313941a35142b7c87e4721d719b7dca205abbe3d60ce",
+    "mapreduce.abs>masp": "20f3bcab0bd7bec84028c3fb041bd3655759e58e11b06d8f2b710884843cbbee",
+    "futures_of_futures.abs>masp": "22a54042ec59c6f941d4e14c87f0dcd131888dcddab6e1aab20d7622143439f7",
+}
+
+
+@pytest.mark.parametrize("name", list(EXPLORE_PINS))
+def test_exploration_matches_pin(name):
+    if name.endswith(".masp"):
+        cfg = initial_config(load_masp(name))
+    elif name.endswith(".abs"):
+        cfg = abs_initial_config(load_abs(name))
+    else:
+        cfg = initial_config(translate_program(load_abs(name[: -len(">masp")])))
+    r = explore(cfg, depth=60, width=1500, properties=default_properties(cfg))
+    text = json.dumps(r.to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == EXPLORE_PINS[name]

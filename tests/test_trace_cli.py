@@ -234,3 +234,61 @@ def test_cli_negative_bound_is_two(argv, capsys):
         f"multiactive {command}: error: argument {flag}: must not be negative, got {value}\n"
     )
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["translate", "check-sim"])
+def test_cli_cooperative_only_commands_refuse_masp(command, capsys):
+    assert cli([command, str(corpus_path("peer_policy.masp"))]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"{command} expects a .abs file\n"
+    assert captured.out == ""
+
+
+def test_cli_run_diagnoses_a_request_that_never_ends(capsys):
+    assert cli(["run", str(corpus_path("circular_hard.masp"))]) == 0
+    captured = capsys.readouterr()
+    assert "request_never_ends: True" in captured.out
+    assert captured.err == (
+        "request never ends; diagnosis:\n"
+        "  blocked-on-future: a1/f2 (wait-by-necessity on f3 under a hard limit)\n"
+        "  thread-starved: a1/f4 (service blocked by thread limits)\n"
+        "  blocked-on-future: a2/f3 (wait-by-necessity on f4 under a hard limit)\n"
+    )
+
+
+# two cogs that wait on each other's answer with a blocking get
+_ABS_DEADLOCK = """
+class Main() {
+  method go(b) {
+    vars f, x;
+    f = b!ping(this);
+    x = f.get;
+    return x
+  }
+  method back() { return 7 }
+}
+class Peer() {
+  method ping(a) {
+    vars g, y;
+    g = a!back();
+    y = g.get;
+    return y
+  }
+}
+{
+  vars m, p, h, r;
+  m = new Main();
+  p = new Peer();
+  h = m!go(p);
+  r = h.get
+}
+"""
+
+
+def test_cli_run_of_cooperative_program_prints_no_diagnosis(tmp_path, capsys):
+    f = tmp_path / "dead.abs"
+    f.write_text(_ABS_DEADLOCK)
+    assert cli(["run", str(f)]) == 0
+    captured = capsys.readouterr()
+    assert "request_never_ends: True" in captured.out
+    assert captured.err == ""
