@@ -1,4 +1,5 @@
-"""Initial configuration and deterministic runs of the cooperative engine.
+"""Initial configuration and deterministic runs of the cooperative engine,
+and ``semantics()``, the record through which the generic tools drive it.
 
 The run and replay loops are ``trace.run_steps`` and ``trace.replay_steps``;
 what stays here is this calculus's scheduler (``choose`` in ``abs_run``)
@@ -11,8 +12,10 @@ import random
 
 from ..canon import abs_digest, digest_of
 from ..lang.ast_abs import AbsProgram
+from ..lang.parser_abs import parse_abs
 from ..lang.pretty import pretty_abs
-from ..trace import StepFunctions, StepRecord, Trace, replay_steps, run_steps
+from ..properties import ABS_PROPERTIES
+from ..trace import Semantics, StepRecord, Trace, replay_steps, run_steps
 from ..values import UNRESOLVED, ActRef, FutRef, ObjRef
 from .runtime import AbsConfig, Ob, Process, flatten_abs_body
 from .steps import abs_apply_step, abs_enabled_steps
@@ -81,11 +84,17 @@ def abs_run(
                 return progress[0] if progress else mine[0]
         return labels[0]
 
-    fns = StepFunctions(abs_enabled_steps, abs_apply_step, abs_digest, abs_unresolved_futures)
     trace = Trace(digest_of(pretty_abs(config.program)), strategy, seed)
-    return run_steps(config, fns, choose, _label_record, trace, budget, digests)
+    return run_steps(config, semantics(), choose, _label_record, trace, budget, digests)
 
 
 def abs_replay(program: AbsProgram, trace: Trace):
     """Re-apply a trace's recorded labels; returns the final configuration."""
     return replay_steps(abs_initial_config(program), abs_apply_step, trace)
+
+
+def semantics() -> Semantics:
+    """This calculus's record, built from this module's names on every call;
+    it has no stuck threads and no deadlock diagnosis."""
+    return Semantics(parse_abs, abs_initial_config, abs_run, abs_enabled_steps, abs_apply_step,
+                     abs_digest, abs_unresolved_futures, ABS_PROPERTIES)

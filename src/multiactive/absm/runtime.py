@@ -50,10 +50,6 @@ class Ob:
     def update(self, **kw) -> "Ob":
         return evolve(self, kw)
 
-    @property
-    def cog(self) -> str:
-        return self.fields["cog"].name
-
 
 @dataclass(frozen=True)
 class AbsConfig:

@@ -265,6 +265,7 @@ def abs_apply_step(config: AbsConfig, label: Label) -> AbsConfig:
     handler = _RULES.get(label.rule)
     if handler is None:
         raise EngineFault(f"unknown rule {label.rule}")
+    _expect(len(label.extra) == _EXTRA.get(label.rule, 1), label)
     if label.rule in _LOCAL:
         ob = config.objects.get(ObjRef(label.extra[0], label.activity))
         if ob is not None:
@@ -656,6 +657,13 @@ _RULES = {
     "Self-Sync-Return-Sched": _apply_self_sync_return,
     "Cog-Sync-Return-Sched": _apply_cog_sync_return,
 }
+
+# how many items a rule's label carries in ``extra``: the object's id,
+# then a position in its queue, or the callee's id (`Cog-Sync-Call`), or
+# another object's id and a position in that object's queue; the rules
+# not named carry only the id
+_EXTRA = {"Await-False": 2, "Suspend": 2, "Cog-Sync-Call": 2,
+          "Self-Sync-Return-Sched": 2, "Cog-Sync-Return-Sched": 3}
 
 # the rules that read and write nothing but their own object, so
 # `abs_apply_step` memoizes them on it

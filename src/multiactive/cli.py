@@ -6,12 +6,9 @@ import argparse
 import json
 import sys
 
-from .absm.engine import abs_initial_config, abs_run
-from .deadlock import diagnose_deadlock
 from .diagnostics import ParseError
-from .explore import default_properties, explore
-from .lang import check_wellformed, parse_abs, parse_masp, pretty_masp
-from .masp.engine import initial_config, run
+from .explore import explore, semantics_of
+from .lang import AbsProgram, check_wellformed, pretty_masp
 from .simulate import check_backward_simulation, check_forward_simulation
 from .trace import Trace
 from .translate import TranslateError, translate_program
@@ -24,12 +21,10 @@ def _load(path: str):
     except UnicodeDecodeError as err:
         print(f"{path}: not UTF-8 text (byte {err.start})", file=sys.stderr)
         raise SystemExit(1)
-    if path.endswith(".abs"):
-        parse = parse_abs
-    elif path.endswith(".masp"):
-        parse = parse_masp
-    else:
-        raise SystemExit(f"{path}: expected a .abs or .masp file")
+    try:
+        parse = semantics_of(path).parse
+    except ValueError as err:  # neither a .abs nor a .masp path
+        raise SystemExit(str(err))
     try:
         program = parse(text, filename=path)
     except ParseError as err:
@@ -53,16 +48,10 @@ def _emit(obj, fmt: str):
 
 def _cmd_run(args) -> int:
     program = _load(args.file)
-    if args.file.endswith(".abs"):
-        config = abs_initial_config(program)
-        final, trace = abs_run(
-            config, strategy=args.strategy, budget=args.budget, seed=args.seed
-        )
-    else:
-        config = initial_config(program)
-        final, trace = run(
-            config, strategy=args.strategy, budget=args.budget, seed=args.seed
-        )
+    sem = semantics_of(program)
+    final, trace = sem.run(
+        sem.initial(program), strategy=args.strategy, budget=args.budget, seed=args.seed
+    )
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
             fh.write(trace.to_jsonl())
@@ -70,20 +59,19 @@ def _cmd_run(args) -> int:
         print(json.dumps(trace.terminal, sort_keys=True))
     else:
         _emit(trace.terminal, "text")
-    if trace.terminal.get("request_never_ends"):
-        if args.file.endswith(".masp"):
-            diag = diagnose_deadlock(final)
-            if not diag.empty:
-                print("request never ends; diagnosis:", file=sys.stderr)
-                for c in diag.classifications:
-                    print(f"  {c['kind']}: {c['activity']}/{c['request']}"
-                          f" ({c['detail']})", file=sys.stderr)
+    if trace.terminal.get("request_never_ends") and sem.diagnose is not None:
+        diag = sem.diagnose(final)
+        if not diag.empty:
+            print("request never ends; diagnosis:", file=sys.stderr)
+            for c in diag.classifications:
+                print(f"  {c['kind']}: {c['activity']}/{c['request']}"
+                      f" ({c['detail']})", file=sys.stderr)
     return 0
 
 
 def _cmd_translate(args) -> int:
     program = _load(args.file)
-    if not args.file.endswith(".abs"):
+    if not isinstance(program, AbsProgram):
         raise SystemExit("translate expects a .abs file")
     try:
         out = translate_program(program)
@@ -102,15 +90,9 @@ def _cmd_translate(args) -> int:
 
 def _cmd_explore(args) -> int:
     program = _load(args.file)
-    if args.file.endswith(".abs"):
-        config = abs_initial_config(program)
-    else:
-        config = initial_config(program)
+    sem = semantics_of(program)
     result = explore(
-        config,
-        depth=args.depth,
-        width=args.width,
-        properties=default_properties(config),
+        sem.initial(program), depth=args.depth, width=args.width, properties=sem.properties
     )
     if args.format == "json":
         print(json.dumps(result.to_json(), indent=2, sort_keys=True))
@@ -132,7 +114,7 @@ def _cmd_explore(args) -> int:
 
 def _cmd_check_sim(args) -> int:
     program = _load(args.file)
-    if not args.file.endswith(".abs"):
+    if not isinstance(program, AbsProgram):
         raise SystemExit("check-sim expects a .abs file")
     reports = []
     if args.direction in ("forward", "both"):

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple, Union
 
 from ..diagnostics import NO_POS, Pos
-from .ast_expr import Expr, expr_vars
+from .ast_expr import Expr
 
 
 @dataclass(frozen=True)
@@ -177,11 +177,3 @@ def anormalize(s: AStmt) -> AStmt:
         for p in parts
     ]
     return aseq(parts)
-
-
-def guard_vars(g: Guard) -> set:
-    if isinstance(g, GBool):
-        return expr_vars(g.expr)
-    if isinstance(g, GFut):
-        return {g.var}
-    return guard_vars(g.left) | guard_vars(g.right)

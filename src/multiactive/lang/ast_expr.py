@@ -62,17 +62,3 @@ class RuntimeVal:
 
 
 Expr = Union[Lit, Var, This, Binop, Unop, MethodLit, RuntimeVal]
-
-BINOPS = ("||", "&&", "==", "!=", "<=", ">=", "<", ">", "+", "-", "*", "/")
-UNOPS = ("!", "-")
-
-
-def expr_vars(e: Expr) -> set:
-    """All variable names read by an expression."""
-    if isinstance(e, Var):
-        return {e.name}
-    if isinstance(e, Binop):
-        return expr_vars(e.left) | expr_vars(e.right)
-    if isinstance(e, Unop):
-        return expr_vars(e.operand)
-    return set()

@@ -1,4 +1,5 @@
-"""Initial configurations and deterministic runs of the multi-active engine.
+"""Initial configurations and deterministic runs of the multi-active engine,
+and ``semantics()``, the record through which the generic tools drive it.
 
 The run and replay loops are ``trace.run_steps`` and ``trace.replay_steps``;
 what stays here is this calculus's scheduler (``choose`` in ``run``) and
@@ -10,11 +11,14 @@ from __future__ import annotations
 import random
 
 from ..canon import digest_of, masp_digest
+from ..deadlock import diagnose_deadlock
 from ..lang.ast_expr import Var
 from ..lang.ast_masp import MaspProgram, MReturn
+from ..lang.parser_masp import parse_masp
 from ..lang.pretty import pretty_masp
 from ..policy import DEFAULT_POLICY, cog_policy
-from ..trace import StepFunctions, StepRecord, Trace, replay_steps, run_steps
+from ..properties import MASP_PROPERTIES
+from ..trace import Semantics, StepRecord, Trace, replay_steps, run_steps
 from ..values import ActRef, Loc, MethodVal
 from .runtime import (
     Activity,
@@ -155,11 +159,16 @@ def run(
         rotation += 1
         return chosen
 
-    fns = StepFunctions(enabled_steps, apply_step, masp_digest, unresolved_futures, stuck_threads)
     trace = Trace(digest_of(pretty_masp(config.program)), strategy, seed)
-    return run_steps(config, fns, choose, _label_record, trace, budget, digests)
+    return run_steps(config, semantics(), choose, _label_record, trace, budget, digests)
 
 
 def replay(program: MaspProgram, trace: Trace):
     """Re-apply a trace's recorded labels; returns the final configuration."""
     return replay_steps(initial_config(program), apply_step, trace)
+
+
+def semantics() -> Semantics:
+    """This calculus's record, built from this module's names on every call."""
+    return Semantics(parse_masp, initial_config, run, enabled_steps, apply_step, masp_digest,
+                     unresolved_futures, MASP_PROPERTIES, stuck_threads, diagnose_deadlock)

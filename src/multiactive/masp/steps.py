@@ -327,6 +327,7 @@ def apply_step(config: MaspConfig, label: Label) -> MaspConfig:
     handler = _RULES.get(label.rule)
     if handler is None:
         raise EngineFault(f"unknown rule {label.rule}")
+    _expect(len(label.extra) == _EXTRA.get(label.rule, 0), label)
     if label.rule in _LOCAL:
         act = config.activities.get(label.activity)
         if act is not None:
@@ -730,6 +731,10 @@ _RULES = {
     "Update": _apply_update,
     "Activate-Thread": _apply_activate,
 }
+
+# how many items a rule's label carries in ``extra``: a queue index for
+# `Serve`, a store location for `Update`, none for the others
+_EXTRA = {"Serve": 1, "Update": 1}
 
 # the rules that write nothing but their own activity (and, for `Return`,
 # its request's binder), so `apply_step` memoizes them on the activity

@@ -1,5 +1,6 @@
-"""Execution traces: JSON-lines records, and the run loop (``run_steps``)
-and replay loop (``replay_steps``) that both engines share."""
+"""Execution traces: JSON-lines records; the ``Semantics`` record through
+which the generic tools drive either calculus; and the run loop
+(``run_steps``) and replay loop (``replay_steps``) that both engines share."""
 
 from __future__ import annotations
 
@@ -88,22 +89,28 @@ class Trace:
 
 
 @dataclass(frozen=True, slots=True)
-class StepFunctions:
-    """What the run loop calls of one calculus; engines build it per run from
-    their module-level names, so wrappers bound under those names are seen."""
+class Semantics:
+    """One calculus as the generic tools (``explore``, the run loop, the
+    CLI) see it. Each engine's ``semantics()`` builds it per call from its
+    module-level names, so wrappers bound under those names are seen."""
 
+    parse: Callable  # (text, filename) -> program
+    initial: Callable  # program -> config
+    run: Callable  # (config, strategy, budget, seed, digests) -> (config, trace)
     enabled: Callable  # (config, mode) -> labels
     apply: Callable  # (config, label) -> config
     digest: Callable  # config -> str
     unresolved: Callable  # config -> future names
+    properties: tuple  # the built-in properties of ``explore``
     stuck: Optional[Callable] = None  # config -> stuck threads, if the calculus has them
+    diagnose: Optional[Callable] = None  # config -> deadlock diagnosis, likewise
 
 
-def run_steps(config, fns: StepFunctions, choose, record, trace: Trace, budget: int, digests: bool):
+def run_steps(config, sem: Semantics, choose, record, trace: Trace, budget: int, digests: bool):
     """The run loop: apply ``choose(config, labels)`` until no step is
     enabled or ``budget`` steps are taken; ``record(config, label, index)``
     builds each step's record. Fills in ``trace``; returns (config, trace)."""
-    enabled, apply, digest = fns.enabled, fns.apply, fns.digest
+    enabled, apply, digest = sem.enabled, sem.apply, sem.digest
     records = trace.records
     steps = 0
     while steps < budget:
@@ -117,7 +124,7 @@ def run_steps(config, fns: StepFunctions, choose, record, trace: Trace, budget: 
             rec.config_digest = digest(config)
         records.append(rec)
         steps += 1
-    unresolved = fns.unresolved(config)
+    unresolved = sem.unresolved(config)
     terminal = not enabled(config, mode="run")
     info = trace.terminal = {  # the keys in this order, for the text output
         "steps": steps,
@@ -125,8 +132,8 @@ def run_steps(config, fns: StepFunctions, choose, record, trace: Trace, budget: 
         "budget_exhausted": steps >= budget and not terminal,
         "unresolved_futures": sorted(unresolved),
     }
-    if fns.stuck is not None:
-        info["stuck_threads"] = [list(s) for s in fns.stuck(config)]
+    if sem.stuck is not None:
+        info["stuck_threads"] = [list(s) for s in sem.stuck(config)]
     info["request_never_ends"] = terminal and bool(unresolved)
     info["final_digest"] = digest(config)
     return config, trace

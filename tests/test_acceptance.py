@@ -103,7 +103,6 @@ def test_criterion_1_safe_parallelism(corpus_explorations):
             depth=100,
             width=400,
             properties=default_properties(cfg),
-            time_budget=2.0,
         )
         random_bad += sum(
             1 for v in r.property_violations if v["property"] == "safe-parallelism"

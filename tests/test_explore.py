@@ -1,7 +1,6 @@
-"""Bounded exploration, built-in properties, worker independence."""
+"""Bounded exploration, built-in properties and pinned exploration results."""
 
 import hashlib
-import importlib
 import json
 
 import pytest
@@ -17,9 +16,6 @@ from multiactive.translate import translate_program
 from multiactive.values import FutRef
 
 from conftest import load_abs, load_masp
-
-# the package re-exports the function ``explore`` under the module's name
-explore_mod = importlib.import_module("multiactive.explore")
 
 
 def test_empty_main_tiny_state_space():
@@ -116,37 +112,6 @@ def test_violation_witness_replays():
         state = apply_step(state, match[0])
     act = state.activities.get("a1")
     assert act is not None and act.current
-
-
-def test_time_budget_truncates():
-    program = load_masp("peer_policy.masp")
-    cfg = initial_config(program)
-    r = explore(cfg, depth=500, width=10**6, time_budget=0.0)
-    assert r.frontier_truncated
-
-
-def test_time_budget_is_checked_within_a_level(monkeypatch):
-    # a fake clock that advances one second per expanded configuration
-    now = [0.0]
-    expansions = []
-    real_expand = explore_mod._expand
-
-    def expand(*args):
-        expansions.append(args[0])
-        now[0] += 1.0
-        return real_expand(*args)
-
-    monkeypatch.setattr(explore_mod.time, "monotonic", lambda: now[0])
-    monkeypatch.setattr(explore_mod, "_expand", expand)
-    cfg = initial_config(load_masp("peer_policy.masp"))
-    r = explore(cfg, depth=500, width=10**6, time_budget=6.5)
-    assert r.frontier_truncated
-    # expanded at clock readings 0 to 6, then stopped by the deadline
-    assert len(expansions) == 7
-    # inside a level: whole levels 0..d hold explore(depth=d) states
-    monkeypatch.undo()
-    whole = {explore(cfg, depth=d, width=10**6).states_visited for d in range(8)}
-    assert 7 not in whole
 
 
 def test_store_closure_sees_futures_dropped_around_a_shared_activity():

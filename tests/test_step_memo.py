@@ -9,13 +9,14 @@ node, the program and, for ``Update``/``Return``, one future's binder.
 """
 
 import gc
-import importlib
 import random
 from collections import Counter
 
 import pytest
 
+import multiactive.absm.engine as abs_engine
 import multiactive.absm.steps as abs_steps
+import multiactive.masp.engine as masp_engine
 import multiactive.masp.steps as masp_steps
 from genprog import gen_runnable_abs, gen_runnable_masp
 from multiactive.absm.engine import abs_initial_config
@@ -29,9 +30,6 @@ from multiactive.translate import translate_program
 from multiactive.values import evolve
 
 from conftest import ABS_CORPUS, MASP_CORPUS, load_abs, load_masp
-
-# the package re-exports the function ``explore`` under the module's name
-explore_mod = importlib.import_module("multiactive.explore")
 
 
 def _rebuilt(config):
@@ -49,15 +47,17 @@ def differential(monkeypatch):
     """Checks every step ``explore`` applies; returns per-rule counts of
     local steps taken and of handler runs (the memo's misses)."""
     counts = {"steps": Counter(), "handled": Counter()}
-    for engine, name, digest in (
-        (masp_steps, "apply_step", masp_digest),
-        (abs_steps, "abs_apply_step", abs_digest),
+    # each engine's semantics record reads its apply function from the
+    # engine module, so the checked one is bound there
+    for steps, engine, name, digest in (
+        (masp_steps, masp_engine, "apply_step", masp_digest),
+        (abs_steps, abs_engine, "abs_apply_step", abs_digest),
     ):
-        handlers = dict(engine._RULES)
-        for rule in engine._LOCAL:
-            monkeypatch.setitem(engine._RULES, rule, _counted(handlers[rule], counts))
-        checked = _checked(getattr(engine, name), handlers, engine._LOCAL, digest, counts)
-        monkeypatch.setattr(explore_mod, name, checked)
+        handlers = dict(steps._RULES)
+        for rule in steps._LOCAL:
+            monkeypatch.setitem(steps._RULES, rule, _counted(handlers[rule], counts))
+        checked = _checked(getattr(steps, name), handlers, steps._LOCAL, digest, counts)
+        monkeypatch.setattr(engine, name, checked)
     return counts
 
 
@@ -114,6 +114,34 @@ def test_memoized_steps_match_fresh_on_generated_programs(differential):
     for cfg in configs:
         explore(cfg, depth=20, width=150, properties=default_properties(cfg))
     assert _hits(differential) > 0
+
+
+# ``get`` and ``inc`` are compatible, so ``get`` answers 0 or 1 by how the
+# two interleave, while main, which made both calls first, is one shared
+# activity in every branch: its ``Update`` meets its future bound to
+# either value, which a memo that ignored the binder would mix up
+_RACE = """
+class Counter(n) {
+  policy {
+    group all selfcompatible;
+  }
+  method inc() group all { n = n + 1; return n }
+  method get() group all { return n }
+}
+{
+  vars c, f, g, x;
+  c = newActive Counter(0);
+  f = c.get();
+  g = c.inc();
+  x = f + 1
+}
+"""
+
+
+def test_memoized_steps_match_fresh_on_a_racy_future(differential):
+    cfg = initial_config(parse_masp(_RACE))
+    explore(cfg, depth=60, width=1500, properties=default_properties(cfg))
+    assert differential["steps"]["Update"] > differential["handled"]["Update"]
 
 
 # -- hand-built cases -----------------------------------------------------------

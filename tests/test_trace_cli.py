@@ -1,16 +1,20 @@
-"""Trace format round trips and the command-line surface."""
+"""Trace format round trips, malformed labels and the command-line surface."""
 
 import hashlib
 import json
 
 import pytest
 
+import multiactive.absm.steps as abs_steps
+import multiactive.masp.steps as masp_steps
 from multiactive import corpus_path
-from multiactive.absm.engine import abs_initial_config, abs_run
+from multiactive.absm.engine import abs_initial_config, abs_replay, abs_run
 from multiactive.cli import cli
 from multiactive.masp.engine import initial_config, run
+from multiactive.steplabel import Label
 from multiactive.trace import Trace
 from multiactive.translate import translate_program
+from multiactive.values import EngineFault
 
 from conftest import ABS_CORPUS, MASP_CORPUS, load_abs, load_masp
 
@@ -292,3 +296,47 @@ def test_cli_run_of_cooperative_program_prints_no_diagnosis(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "request_never_ends: True" in captured.out
     assert captured.err == ""
+
+
+# -- malformed labels -------------------------------------------------------------
+
+_ENGINES = {
+    "masp": (masp_steps.apply_step, masp_steps._RULES, masp_steps._EXTRA, 0),
+    "abs": (abs_steps.abs_apply_step, abs_steps._RULES, abs_steps._EXTRA, 1),
+}
+
+
+def _wrong_extras(size) -> list:
+    """An empty extra, unless that is the right size, and one item too many."""
+    return ([()] if size else []) + [(0,) * (size + 1)]
+
+
+_WRONG_EXTRA = [
+    (engine, rule, extra)
+    for engine, (_, rules, sizes, default) in _ENGINES.items()
+    for rule in rules
+    for extra in _wrong_extras(sizes.get(rule, default))
+]
+
+
+@pytest.mark.parametrize("engine,rule,extra", _WRONG_EXTRA, ids=str)
+def test_label_with_wrong_extra_is_engine_fault(engine, rule, extra):
+    apply = _ENGINES[engine][0]
+    if engine == "masp":
+        cfg = initial_config(load_masp("peer_policy.masp"))
+    else:
+        cfg = abs_initial_config(load_abs("bank_account.abs"))
+    with pytest.raises(EngineFault, match="step not enabled"):
+        apply(cfg, Label(rule, "a0", "f0", extra))
+
+
+def test_replay_of_a_record_without_extra_is_engine_fault():
+    program = load_abs("bank_account.abs")
+    _, trace = abs_run(abs_initial_config(program), budget=5)
+    lines = trace.to_jsonl().splitlines()
+    first = json.loads(lines[1])
+    assert first["detail"]["extra"]
+    del first["detail"]["extra"]
+    lines[1] = json.dumps(first)
+    with pytest.raises(EngineFault, match="step not enabled"):
+        abs_replay(program, Trace.from_jsonl("\n".join(lines)))
