@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 
-from ..canon import abs_digest, digest_of
+from ..canon import abs_digest, program_digest
 from ..lang.ast_abs import AbsProgram
 from ..lang.parser_abs import parse_abs
 from ..lang.pretty import pretty_abs
@@ -84,7 +84,7 @@ def abs_run(
                 return progress[0] if progress else mine[0]
         return labels[0]
 
-    trace = Trace(digest_of(pretty_abs(config.program)), strategy, seed)
+    trace = Trace(program_digest(config.program, pretty_abs), strategy, seed)
     return run_steps(config, semantics(), choose, _label_record, trace, budget, digests)
 
 
@@ -96,5 +96,5 @@ def abs_replay(program: AbsProgram, trace: Trace):
 def semantics() -> Semantics:
     """This calculus's record, built from this module's names on every call;
     it has no stuck threads and no deadlock diagnosis."""
-    return Semantics(parse_abs, abs_initial_config, abs_run, abs_enabled_steps, abs_apply_step,
-                     abs_digest, abs_unresolved_futures, ABS_PROPERTIES)
+    return Semantics("abs", parse_abs, abs_initial_config, abs_run, abs_enabled_steps,
+                     abs_apply_step, abs_digest, abs_unresolved_futures, ABS_PROPERTIES)

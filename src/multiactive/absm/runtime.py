@@ -3,9 +3,13 @@
 Objects are global configuration entries (no per-activity store); a cog
 entry names the single object allowed to run. Futures map to their value
 or stay unresolved. Immutability discipline as in the sibling engine:
-`steps` memoizes on each `Ob` the successor object of every local step
-applied to it (`_next`, see `steplabel.memo_step`), and `canon` its shape
-(`_canon`) and, on a cog's first member, the cog's shape (`_cog`).
+`steps` memoizes on each `Ob` the successor object of every step that
+rewrites only that object (`_next`, see `steplabel.memo_step`: with the
+cog entry that `Activate` reads and writes, the destiny that `Return`
+reads and resolves, and the future that `Await-*` and `Read-Fut` read; a
+successor first held weakly, strongly once it had to be rebuilt), and
+`canon` its shape (`_canon`) and, on a cog's first member, the cog's
+shape (`_cog`).
 """
 
 from __future__ import annotations

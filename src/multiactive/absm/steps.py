@@ -5,6 +5,11 @@ synchronously) and fresh requests are served FIFO: `Activate` only ever
 takes the queue head, while interrupted processes re-enter the queue at
 a nondeterministic position (every position in `explore` mode, the tail
 in `run` mode).
+
+The rules that rewrite only one object (`_LOCAL`) are memoized on it
+(`_next`, through `steplabel.memo_step`), with the configuration cells
+they read and write: a cog's running object for `Activate`, a future for
+`Return`, `Await-*` and `Read-Fut`.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from ..lang.ast_abs import (
     GFut,
 )
 from ..lang.ast_expr import RuntimeVal
-from ..steplabel import Label, memo_step
+from ..steplabel import ABSENT, Label, memo_step
 from ..values import (
     UNDEFINED,
     UNRESOLVED,
@@ -274,8 +279,40 @@ def abs_apply_step(config: AbsConfig, label: Label) -> AbsConfig:
 
 
 def _outcome(config, new, ob, label) -> tuple:
-    """What a local rule did, for `memo_step`: it read no future."""
-    return new.objects[ob.name], None, None, None
+    """What a local rule did, for `memo_step`: ``Activate`` read and wrote
+    its cog's running object, ``Return`` its destiny, ``Await-*`` (on a
+    future guard) and ``Read-Fut`` read one future."""
+    succ = new.objects[ob.name]
+    rule = label.rule
+    if rule == "Activate":
+        cog = label.activity
+        return succ, (("cogs", cog, config.cogs.get(cog, ABSENT)),), (
+            ("cogs", cog, new.cogs[cog]),
+        )
+    if rule == "Return":
+        fut = ob.active.locals["destiny"].name
+        return succ, (("futures", fut, config.futures[fut]),), (
+            ("futures", fut, new.futures[fut]),
+        )
+    if rule in _READS_FUTURE:
+        f = _read_future(ob)
+        if f is not None:
+            return succ, (("futures", f.name, config.futures.get(f.name, ABSENT)),), ()
+    return succ, (), ()
+
+
+def _read_future(ob):
+    """The future that ``ob``'s head statement, an ``await`` or a ``get``,
+    reads; None for a boolean guard."""
+    head = ob.active.stmts[0]
+    if isinstance(head, AAssign):
+        return abs_evaluate(head.rhs.expr, ob.fields, ob.active.locals)
+    first, _ = split_guard(head.guard)
+    if isinstance(first, GBool):
+        return None
+    if isinstance(first, RGFut):
+        return first.value
+    return abs_evaluate(_var(first.var), ob.fields, ob.active.locals)
 
 
 def _ob(config, label) -> Ob:
@@ -348,9 +385,7 @@ def _apply_await_true(config, label):
         v = abs_evaluate(first.expr, ob.fields, ob.active.locals)
         _expect(v is True, label)
     else:
-        f = first.value if isinstance(first, RGFut) else abs_evaluate(
-            _var(first.var), ob.fields, ob.active.locals
-        )
+        f = _read_future(ob)
         _expect(isinstance(f, FutRef), label)
         _expect(config.futures.get(f.name, UNRESOLVED) is not UNRESOLVED, label)
     stmts = ob.active.stmts[1:]
@@ -372,9 +407,7 @@ def _apply_await_false(config, label):
         v = abs_evaluate(first.expr, ob.fields, ob.active.locals)
         _expect(v is False, label)
     else:
-        f = first.value if isinstance(first, RGFut) else abs_evaluate(
-            _var(first.var), ob.fields, ob.active.locals
-        )
+        f = _read_future(ob)
         _expect(isinstance(f, FutRef), label)
         _expect(config.futures.get(f.name, UNRESOLVED) is UNRESOLVED, label)
     pos = label.extra[1]
@@ -417,7 +450,7 @@ def _apply_read_fut(config, label):
     ob = _ob(config, label)
     head = ob.active.stmts[0]
     _expect(isinstance(head, AAssign) and isinstance(head.rhs, AGet), label)
-    f = abs_evaluate(head.rhs.expr, ob.fields, ob.active.locals)
+    f = _read_future(ob)
     _expect(isinstance(f, FutRef), label)
     v = config.futures.get(f.name, UNRESOLVED)
     _expect(v is not UNRESOLVED, label)
@@ -504,6 +537,7 @@ def _apply_cog_sync_call(config, label):
     target = abs_evaluate(head.rhs.target, ob.fields, ob.active.locals)
     _expect(isinstance(target, ObjRef) and target in config.objects, label)
     _expect(target != ob.name and target.cog == ob.name.cog, label)
+    _expect(target.ident == label.extra[1], label)
     callee = config.objects[target]
     _expect(callee.active is None, label)
     _expect(config.cogs.get(label.activity) == ob.name, label)
@@ -665,8 +699,12 @@ _RULES = {
 _EXTRA = {"Await-False": 2, "Suspend": 2, "Cog-Sync-Call": 2,
           "Self-Sync-Return-Sched": 2, "Cog-Sync-Return-Sched": 3}
 
-# the rules that read and write nothing but their own object, so
-# `abs_apply_step` memoizes them on it
+# the rules that rewrite only their own object, so `abs_apply_step`
+# memoizes them on it: the first six read nothing else; `Activate` reads
+# and writes its cog's running object, `Return` its destiny, and the
+# `_READS_FUTURE` rules read one future
+_READS_FUTURE = frozenset({"Await-True", "Await-False", "Read-Fut"})
 _LOCAL = frozenset(
-    {"Skip", "Cond-True", "Cond-False", "Assign-Local", "Assign-Field", "Suspend"}
-)
+    {"Skip", "Cond-True", "Cond-False", "Assign-Local", "Assign-Field", "Suspend",
+     "Activate", "Return"}
+) | _READS_FUTURE

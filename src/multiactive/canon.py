@@ -73,6 +73,16 @@ def digest_of(text: str) -> str:
     return hashlib.blake2b(text.encode(), digest_size=8).hexdigest()
 
 
+def program_digest(program, pretty) -> str:
+    """``digest_of(pretty(program))``, a trace header's program digest,
+    memoized on the (frozen) program as ``_digest``."""
+    hit = program.__dict__.get("_digest")
+    if hit is None:
+        hit = digest_of(pretty(program))
+        object.__setattr__(program, "_digest", hit)
+    return hit
+
+
 def _memo(obj, build):
     """``build(obj)``, memoized on the (immutable) object itself."""
     hit = obj.__dict__.get("_canon")

@@ -8,13 +8,15 @@ import sys
 
 from .diagnostics import ParseError
 from .explore import explore, semantics_of
-from .lang import AbsProgram, check_wellformed, pretty_masp
+from .lang import check_wellformed, pretty_masp
 from .simulate import check_backward_simulation, check_forward_simulation
 from .trace import Trace
 from .translate import TranslateError, translate_program
 
 
-def _load(path: str):
+def _load(path: str, cooperative_only: str = ""):
+    """The well-formed program at ``path``; a command named in
+    ``cooperative_only`` refuses a multi-active path before it is parsed."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -22,11 +24,13 @@ def _load(path: str):
         print(f"{path}: not UTF-8 text (byte {err.start})", file=sys.stderr)
         raise SystemExit(1)
     try:
-        parse = semantics_of(path).parse
+        sem = semantics_of(path)
     except ValueError as err:  # neither a .abs nor a .masp path
         raise SystemExit(str(err))
+    if cooperative_only and sem.name != "abs":
+        raise SystemExit(f"{cooperative_only} expects a .abs file")
     try:
-        program = parse(text, filename=path)
+        program = sem.parse(text, filename=path)
     except ParseError as err:
         print(err, file=sys.stderr)
         raise SystemExit(1)
@@ -70,9 +74,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_translate(args) -> int:
-    program = _load(args.file)
-    if not isinstance(program, AbsProgram):
-        raise SystemExit("translate expects a .abs file")
+    program = _load(args.file, "translate")
     try:
         out = translate_program(program)
     except TranslateError as err:
@@ -113,9 +115,7 @@ def _cmd_explore(args) -> int:
 
 
 def _cmd_check_sim(args) -> int:
-    program = _load(args.file)
-    if not isinstance(program, AbsProgram):
-        raise SystemExit("check-sim expects a .abs file")
+    program = _load(args.file, "check-sim")
     reports = []
     if args.direction in ("forward", "both"):
         reports.append(check_forward_simulation(program, args.depth, args.width))

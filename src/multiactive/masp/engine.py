@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 
-from ..canon import digest_of, masp_digest
+from ..canon import masp_digest, program_digest
 from ..deadlock import diagnose_deadlock
 from ..lang.ast_expr import Var
 from ..lang.ast_masp import MaspProgram, MReturn
@@ -159,7 +159,7 @@ def run(
         rotation += 1
         return chosen
 
-    trace = Trace(digest_of(pretty_masp(config.program)), strategy, seed)
+    trace = Trace(program_digest(config.program, pretty_masp), strategy, seed)
     return run_steps(config, semantics(), choose, _label_record, trace, budget, digests)
 
 
@@ -170,5 +170,6 @@ def replay(program: MaspProgram, trace: Trace):
 
 def semantics() -> Semantics:
     """This calculus's record, built from this module's names on every call."""
-    return Semantics(parse_masp, initial_config, run, enabled_steps, apply_step, masp_digest,
-                     unresolved_futures, MASP_PROPERTIES, stuck_threads, diagnose_deadlock)
+    return Semantics("masp", parse_masp, initial_config, run, enabled_steps, apply_step,
+                     masp_digest, unresolved_futures, MASP_PROPERTIES, stuck_threads,
+                     diagnose_deadlock)

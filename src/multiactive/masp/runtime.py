@@ -8,12 +8,13 @@ Because an `Activity` never changes, other modules memoize what they
 derive from it on the instance itself, outside the dataclass fields:
 `steps` its own enabled labels and future cells (`_labels`, which read
 only the activity and the program) and the successor activity of each
-local step applied to it (`_next`, see `steplabel.memo_step`), `canon`
-its shape (`_canon`),
-`explore` what its store-closure, safe-parallelism and thread-limits
-checks find, and `equiv` its verdicts against cooperative cogs
-(`_cog_memo`). `update` copies only the fields, so no memo reaches a
-successor.
+local step applied to it (`_next`, see `steplabel.memo_step`: with the
+future binder that `Update` and `Return` read, and the one `Return`
+writes; a successor first held weakly, strongly once it had to be
+rebuilt), `canon` its shape (`_canon`), `explore` what its
+store-closure, safe-parallelism and thread-limits checks find, and
+`equiv` its verdicts against cooperative cogs (`_cog_memo`). `update`
+copies only the fields, so no memo reaches a successor.
 """
 
 from __future__ import annotations

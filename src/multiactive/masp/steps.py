@@ -10,7 +10,8 @@ a state adds only the `Update` labels that its futures allow.
 
 The results of local rules are memoized on the activity too (`_next`,
 through `steplabel.memo_step`), so both orders of a commuting diamond
-share one successor activity, with its memos. The local rules write
+share one successor activity, with its memos, and a successor rebuilt
+once is kept while its source lives. The local rules write
 nothing but their own activity: Serve, Skip, Set-*-Limit, Cond-*,
 Assign-*, New-Object, Invk-Passive, Invk-Future, Return-Local,
 Activate-Thread, Update and Return. Each reads only the activity and the
@@ -344,11 +345,15 @@ def _outcome(config, new, act, label) -> tuple:
     rule = label.rule
     if rule == "Update":
         fut = act.store[Loc(label.extra[0])].name
-        return succ, fut, config.futures[fut], None
+        return succ, (("futures", fut, config.futures[fut]),), ()
     if rule == "Return":
         fut = act.current[label.future].request.future
-        return succ, fut, config.futures[fut], new.futures[fut]
-    return succ, None, None, None
+        return (
+            succ,
+            (("futures", fut, config.futures[fut]),),
+            (("futures", fut, new.futures[fut]),),
+        )
+    return succ, (), ()
 
 
 def _activity(config, label) -> Activity:

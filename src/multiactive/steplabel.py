@@ -43,39 +43,66 @@ class Label:
         )
 
 
+# what a memo entry reads at a configuration cell that does not exist
+ABSENT = object()
+
+
 def memo_step(config, node, label, handler, outcome, place):
     """``handler(config, label)`` for a rule that rewrites only ``node``,
-    an immutable activity or object, and at most the binder of the one
-    future it reads; memoized on ``node`` as ``_next``, outside its
-    fields, so that every configuration holding ``node`` shares the result.
+    an immutable activity or object, and at most a few configuration
+    cells; memoized on ``node`` as ``_next``, outside its fields, so that
+    every configuration holding ``node`` shares the result.
 
     On a miss, ``outcome(config, new, node, label)`` names what the handler
-    did: ``(successor node, fut, seen, written)``, where the rule read
-    ``seen`` at ``config.futures[fut]`` (``fut`` is None for a rule that
-    reads only ``node`` and the program) and, unless ``written`` is None,
-    put ``written`` there. The entry keeps the program, ``fut``, ``seen``
-    (whose identity a hit compares), ``written`` and a weak reference to
-    the successor node. A hit, on the same program with ``seen`` still in
-    place and the successor alive, returns ``place(config, successor)``
-    with ``written`` put back, which is what the handler would build: it
-    read nothing else. A handler's ``EngineFault`` is never stored.
+    did: ``(successor node, reads, writes)``. ``reads`` is a tuple of
+    ``(cells, key, seen)``: the rule read ``seen`` at
+    ``getattr(config, cells)[key]`` (``cells`` is ``"futures"`` or
+    ``"cogs"``; ``seen`` is ``ABSENT`` for a missing key). ``writes`` is a
+    tuple of ``(cells, key, written)``: it put ``written`` there. A rule
+    that reads only ``node`` and the program has ``()`` for both. The
+    entry keeps the program, ``reads``, ``writes`` and the successor node.
+    A hit, on the same program with every ``seen`` still in place (by
+    identity, so a value rebuilt elsewhere just misses) and the successor
+    alive, returns ``place(config, successor)`` with each ``written`` put
+    back, which is what the handler would build: it read nothing else.
+
+    An entry holds its successor through a weak reference when first
+    stored. When a lookup finds one whose program and reads match but
+    whose successor was collected, the derivation is needed a second time,
+    and the recomputed successor is kept with a strong reference, as long
+    as ``node`` lives (second-chance retention, as in the 2Q policy of
+    Johnson and Shasha). A handler's ``EngineFault`` is never stored.
     """
     memo = node.__dict__.get("_next")
+    retain = False
     if memo is None:
         memo = node.__dict__["_next"] = {}
     else:
         entry = memo.get(label)
         if entry is not None and entry[0] is config.program:
-            _, fut, seen, ref, written = entry
-            if fut is None or config.futures.get(fut) is seen:
-                succ = ref()
+            _, reads, writes, succ = entry
+            for cells, key, seen in reads:
+                if getattr(config, cells).get(key, ABSENT) is not seen:
+                    break
+            else:
+                if succ.__class__ is weakref.ReferenceType:
+                    succ = succ()
+                    retain = succ is None
                 if succ is not None:
-                    if written is None:
+                    if not writes:
                         return place(config, succ)
-                    futures = dict(config.futures)
-                    futures[fut] = written
-                    return place(config, succ, futures=futures)
+                    return place(config, succ, **_written(config, writes))
     new = handler(config, label)
-    succ, fut, seen, written = outcome(config, new, node, label)
-    memo[label] = (config.program, fut, seen, weakref.ref(succ), written)
+    succ, reads, writes = outcome(config, new, node, label)
+    memo[label] = (config.program, reads, writes, succ if retain else weakref.ref(succ))
     return new
+
+
+def _written(config, writes) -> dict:
+    """The cell maps of ``config`` with ``writes`` put in place, by name."""
+    changed = {}
+    for cells, key, value in writes:
+        if cells not in changed:
+            changed[cells] = dict(getattr(config, cells))
+        changed[cells][key] = value
+    return changed

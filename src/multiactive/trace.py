@@ -94,6 +94,7 @@ class Semantics:
     CLI) see it. Each engine's ``semantics()`` builds it per call from its
     module-level names, so wrappers bound under those names are seen."""
 
+    name: str  # "masp" (multi-active) or "abs" (cooperative)
     parse: Callable  # (text, filename) -> program
     initial: Callable  # program -> config
     run: Callable  # (config, strategy, budget, seed, digests) -> (config, trace)

@@ -152,6 +152,24 @@ class C() {
     assert trace.terminal["unresolved_futures"] == []
 
 
+def test_cog_sync_call_checks_the_callee_id():
+    p = parse_abs(
+        "class C() { method m() { return 1 } }"
+        " { vars c, x; c = new local C(); x = c.m() }"
+    )
+    cfg, sync = _drive(
+        abs_initial_config(p),
+        lambda c: [l for l in abs_enabled_steps(c) if l.rule == "Cog-Sync-Call"],
+    )
+    (label,) = sync
+    assert label.extra == (0, 1)
+    wrong = Label(label.rule, label.activity, label.future, (0, 99))
+    with pytest.raises(EngineFault):
+        abs_apply_step(cfg, wrong)
+    succ = abs_apply_step(cfg, label)
+    assert succ.cogs[label.activity] == ObjRef(1, label.activity)
+
+
 def test_return_without_cont_resolves_and_idles():
     p = parse_abs("class C(){ method m() { return 2 } } { vars c, f; c = new C(); f = c!m() }")
     cfg, rets = _drive(

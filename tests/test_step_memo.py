@@ -5,11 +5,14 @@ corpus and on ``genprog`` programs is repeated by the rule's handler on a
 field-for-field copy of the configuration, down to each activity and
 object, which carries no memo; the two successors must be equal and have
 equal digests. The hand-built cases pin what a memo entry reads: the
-node, the program and, for ``Update``/``Return``, one future's binder.
+node, the program and the configuration cells its rule reads (a future's
+binder or value, a cog's running object), and when it keeps its
+successor alive.
 """
 
 import gc
 import random
+import weakref
 from collections import Counter
 
 import pytest
@@ -22,12 +25,12 @@ from genprog import gen_runnable_abs, gen_runnable_masp
 from multiactive.absm.engine import abs_initial_config
 from multiactive.canon import abs_digest, masp_digest
 from multiactive.explore import default_properties, explore
-from multiactive.lang import parse_masp
+from multiactive.lang import parse_abs, parse_masp
 from multiactive.masp.engine import initial_config
 from multiactive.masp.runtime import MaspConfig
 from multiactive.masp.steps import apply_step, enabled_steps
 from multiactive.translate import translate_program
-from multiactive.values import evolve
+from multiactive.values import EngineFault, ObjRef, evolve
 
 from conftest import ABS_CORPUS, MASP_CORPUS, load_abs, load_masp
 
@@ -228,15 +231,31 @@ def test_return_hands_its_binder_on_so_update_hits():
     )
 
 
+def _held(entry):
+    """The successor node an entry holds; None once it was collected."""
+    succ = entry[3]
+    return succ() if isinstance(succ, weakref.ref) else succ
+
+
 def test_an_entry_whose_successor_was_collected_recomputes():
     s = _ready()
-    assign = _label(s, "Assign-Local")
+    assign, serve = _label(s, "Assign-Local"), _label(s, "Serve")
     apply_step(s, assign)
     gc.collect()
-    assert _entry(s, assign)[3]() is None
+    assert _held(_entry(s, assign)) is None
     again = apply_step(s, assign)
     assert again == _fresh(s, assign)
-    assert _entry(s, assign)[3]() is again.activities[assign.activity]
+    succ = weakref.ref(again.activities[assign.activity])
+    assert _held(_entry(s, assign)) is succ()
+    # needed a second time, the successor now lives as long as its source
+    del again
+    gc.collect()
+    assert succ() is not None and _held(_entry(s, assign)) is succ()
+    assert apply_step(s, assign).activities[assign.activity] is succ()
+    # while a first-time entry's successor still dies when nothing holds it
+    apply_step(s, serve)
+    gc.collect()
+    assert _held(_entry(s, serve)) is None
 
 
 def test_another_program_misses():
@@ -272,4 +291,104 @@ def test_non_local_rules_store_no_entry():
     assert applied == set(_ABS_GLOBAL)
 
 
-_ABS_GLOBAL = ("Release-Cog", "Activate")
+_ABS_GLOBAL = ("Release-Cog", "Rendez-vous-Comm")
+
+
+# -- hand-built cooperative cases ---------------------------------------------
+
+# Box answers from its own cog while main awaits the answer, then reads it
+_ABS_BOX = """
+class Box(v) {
+  method get() { return v }
+}
+{
+  vars b, f, x;
+  b = new Box(3);
+  f = b!get();
+  await f?;
+  x = f.get
+}
+"""
+
+
+def _abs_steps(config, *rules):
+    """Apply the first enabled label of each rule in turn."""
+    for rule in rules:
+        config = abs_steps.abs_apply_step(config, _abs_label(config, rule))
+    return config
+
+
+def _abs_label(config, rule):
+    return next(l for l in abs_steps.abs_enabled_steps(config) if l.rule == rule)
+
+
+def _abs_fresh(config, label):
+    return abs_steps._RULES[label.rule](_rebuilt(config), label)
+
+
+def _abs_called():
+    """Main has called ``b!get()``: Box's ``Activate`` and main's ``f = ...``
+    wait."""
+    return _abs_steps(
+        abs_initial_config(parse_abs(_ABS_BOX)),
+        "New-Cog-Object",
+        "Assign-Local",
+        "Rendez-vous-Comm",
+    )
+
+
+def _with_future(config, fut, value):
+    return config.update(futures={**config.futures, fut: value})
+
+
+def test_activate_misses_while_its_cog_runs_another_object():
+    s = _abs_called()
+    activate = _abs_label(s, "Activate")
+    one, two = abs_steps.abs_apply_step(s, activate), abs_steps.abs_apply_step(s, activate)
+    ref = ObjRef(activate.extra[0], activate.activity)
+    assert one.objects[ref] is two.objects[ref]
+    assert two.cogs[activate.activity] == ref and two == _abs_fresh(s, activate)
+    busy = s.update(cogs={**s.cogs, activate.activity: ObjRef(2, activate.activity)})
+    with pytest.raises(EngineFault):
+        abs_steps.abs_apply_step(busy, activate)
+
+
+def test_await_false_then_await_true_across_the_resolution():
+    s = _abs_steps(_abs_called(), "Assign-Local")
+    waiting = _abs_label(s, "Await-False")
+    fut = s.objects[ObjRef(0, "a0")].active.locals["f"].name
+    parked = abs_steps.abs_apply_step(s, waiting)  # holds the entry's successor
+    resolved = _with_future(s, fut, 3)
+    with pytest.raises(EngineFault):
+        abs_steps.abs_apply_step(resolved, waiting)
+    done = _abs_label(resolved, "Await-True")
+    assert abs_steps.abs_apply_step(resolved, done) == _abs_fresh(resolved, done)
+    with pytest.raises(EngineFault):
+        abs_steps.abs_apply_step(s, done)
+    # the unresolved future still answers the entry ``waiting`` left
+    assert abs_steps.abs_apply_step(s, waiting) == parked == _abs_fresh(s, waiting)
+
+
+def test_return_puts_its_written_value_back_on_a_hit():
+    s = _abs_steps(_abs_called(), "Activate")
+    ret = _abs_label(s, "Return")
+    first = abs_steps.abs_apply_step(s, ret)
+    # main steps first: another configuration holding the same Box
+    other = _abs_steps(s, "Assign-Local")
+    hit = abs_steps.abs_apply_step(other, ret)
+    ref = ObjRef(ret.extra[0], ret.activity)
+    assert hit.objects[ref] is first.objects[ref]
+    assert hit == _abs_fresh(other, ret)
+    assert hit.futures[ret.future] == 3
+
+
+def test_read_fut_misses_on_another_value():
+    s = _abs_steps(_abs_called(), "Assign-Local")
+    fut = s.objects[ObjRef(0, "a0")].active.locals["f"].name
+    s = _abs_steps(_with_future(s, fut, 3), "Await-True")
+    read = _abs_label(s, "Read-Fut")
+    first = abs_steps.abs_apply_step(s, read)
+    other = _with_future(s, fut, 4)
+    second = abs_steps.abs_apply_step(other, read)
+    assert second == _abs_fresh(other, read)
+    assert second.objects[ObjRef(0, "a0")] != first.objects[ObjRef(0, "a0")]

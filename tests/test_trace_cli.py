@@ -248,6 +248,16 @@ def test_cli_cooperative_only_commands_refuse_masp(command, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["translate", "check-sim"])
+def test_cli_cooperative_only_commands_refuse_an_ill_formed_masp(command, tmp_path, capsys):
+    f = tmp_path / "bad.masp"
+    f.write_text("{ vars x; x = = 1 }")
+    assert cli([command, str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"{command} expects a .abs file\n"
+    assert captured.out == ""
+
+
 def test_cli_run_diagnoses_a_request_that_never_ends(capsys):
     assert cli(["run", str(corpus_path("circular_hard.masp"))]) == 0
     captured = capsys.readouterr()
