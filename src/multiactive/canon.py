@@ -12,7 +12,10 @@ it. A shape is a fixed-size blake2b hash of the node's structure with
 every name written as a local slot (one character, given out in order of
 first use), plus the names in that order. A name is ``("o", index)`` for
 a store location, ``("A", name)`` for an activity or cog and ``("F",
-name)`` for a future.
+name)`` for a future. One rule writes a statement of either language,
+runtime forms included: its class name, then each field but ``pos`` in
+declaration order, nested statements, guards and expressions the same
+way down to runtime values, whose names become slots.
 
 Composition. A node's record holds its own fields and, for each child,
 the child's hash followed by the slots the child's names take in the
@@ -46,26 +49,8 @@ from __future__ import annotations
 import hashlib
 from operator import attrgetter, is_, itemgetter
 
-from .absm.runtime import RGFut
-from .lang.ast_abs import (
-    AAssign,
-    AAsync,
-    AAwait,
-    AGet,
-    AIf,
-    ANew,
-    AReturn,
-    aseq_list,
-    ASkip,
-    ASuspend,
-    ASync,
-    GBool,
-    GFut,
-)
-from .lang.ast_expr import RuntimeVal
-from .lang.ast_masp import MAssign, MIf, MInvoke, MNew, MNewActive, MReturn, MSetLimit, MSkip, mseq_list
-from .lang.pretty import pp_expr
-from .masp.runtime import MaspConfig, MHole, Obj
+from .lang.ast_expr import node_fields
+from .masp.runtime import MaspConfig, Obj
 from .values import UNRESOLVED, ActRef, FutRef, Loc, MethodVal, ObjRef, show_value
 
 
@@ -117,6 +102,9 @@ def _child(shape: tuple, out: list, slots: dict):
 
 
 def _val(v, out, slots):
+    """A runtime value, or a statement, guard or expression node of
+    either language (runtime forms included): its class name, then each
+    field but ``pos`` in declaration order, each ended by a comma."""
     cls = v.__class__
     if v is None or cls is int or cls is bool:
         out.append(show_value(v))
@@ -137,11 +125,18 @@ def _val(v, out, slots):
                 out.append(",")
             _val(x, out, slots)
         out.append(")")
-    else:
-        out.append(show_value(v))
+    elif node_fields[cls] is None:
+        out.append(show_value(v))  # a string (quoted), ⊥, undefined
+    else:  # a statement, guard or expression node
+        out.append(cls.__name__ + "(")
+        for f in node_fields[cls]:
+            _val(getattr(v, f), out, slots)
+            out.append(",")
+        out.append(")")
 
 
-def _value_shape(v) -> tuple:
+def _shape_of(v) -> tuple:
+    """The shape of what ``_val`` writes: a value or a statement."""
     out, slots = [], {}
     _val(v, out, slots)
     return _shape(out, slots)
@@ -156,7 +151,7 @@ def _cell(v) -> tuple:
     d = getattr(v, "__dict__", None)
     if d is None:  # a primitive or a tuple
         if v.__class__ is tuple:
-            return _value_shape(v)
+            return _shape_of(v)
         text = show_value(v)
         hit = _PLAIN.get(text)
         if hit is None:
@@ -164,25 +159,9 @@ def _cell(v) -> tuple:
         return hit
     hit = d.get("_canon")
     if hit is None:
-        hit = _obj(v) if v.__class__ is Obj else _value_shape(v)
+        hit = _obj(v) if v.__class__ is Obj else _shape_of(v)
         object.__setattr__(v, "_canon", hit)
     return hit
-
-
-def _expr(e, out, slots):
-    if isinstance(e, RuntimeVal):
-        out.append("<")
-        _val(e.value, out, slots)
-        out.append(">")
-    else:
-        out.append(pp_expr(e))
-
-
-def _args(args, out, slots):
-    for i, a in enumerate(args):
-        if i:
-            out.append(",")
-        _expr(a, out, slots)
 
 
 def _locals(locals_: dict, out, slots):
@@ -309,69 +288,18 @@ def _exported(record: list, slots: dict) -> tuple:
 # -- multi-active configurations ----------------------------------------------
 
 
-def _mrhs(r, out, slots):
-    if isinstance(r, (MNew, MNewActive)):
-        out.append(f"{'new' if isinstance(r, MNew) else 'newA'} {r.cls}(")
-        _args(r.args, out, slots)
-        out.append(")")
-    elif isinstance(r, MInvoke):
-        _expr(r.target, out, slots)
-        out.append(f".{r.method if r.method is not None else f'({r.method_var})'}(")
-        _args(r.args, out, slots)
-        if r.vararg:
-            out.append(f",{r.vararg}...")
-        out.append(")")
-    else:
-        _expr(r, out, slots)
-
-
-def _mstmt(s) -> tuple:
-    out, slots = [], {}
-    if isinstance(s, MSkip):
-        out.append("skip")
-    elif isinstance(s, MSetLimit):
-        out.append(f"limit:{s.kind}")
-    elif isinstance(s, MReturn):
-        out.append("ret ")
-        _expr(s.expr, out, slots)
-    elif isinstance(s, MHole):
-        out.append(f"{s.target}=•")
-    elif isinstance(s, MAssign):
-        out.append(f"{s.target}=")
-        _mrhs(s.rhs, out, slots)
-    elif isinstance(s, MIf):
-        out.append("if(")
-        _expr(s.cond, out, slots)
-        out.append("){")
-        _stmts(mseq_list(s.then), _mstmt, out, slots)
-        out.append("}{")
-        _stmts(mseq_list(s.els), _mstmt, out, slots)
-        out.append("}")
-    else:
-        raise TypeError(f"bad statement {s!r}")
-    return _shape(out, slots)
-
-
-def _stmts(stmts, build, out, slots):
-    for s in stmts:
-        shape = s.__dict__.get("_canon") or _memo(s, build)
+def _body(node) -> tuple:
+    """``{locals|statements}`` of a frame or process."""
+    out, slots = ["{"], {}
+    _locals(node.locals, out, slots)
+    out.append("|")
+    for s in node.stmts:
+        shape = s.__dict__.get("_canon") or _memo(s, _shape_of)
         if shape[1]:
             _child(shape, out, slots)
         else:
             out.append(shape[0])
-
-
-def _body(locals_: dict, stmts, build) -> tuple:
-    """``{locals|statements}`` of a frame or process."""
-    out, slots = ["{"], {}
-    _locals(locals_, out, slots)
-    out.append("|")
-    _stmts(stmts, build, out, slots)
     return _shape(out, slots)
-
-
-def _frame(f) -> tuple:
-    return _body(f.locals, f.stmts, _mstmt)
 
 
 def _request(q) -> tuple:
@@ -385,7 +313,7 @@ def _thread(t) -> tuple:
     out, slots = [f"thr{t.state}"], {}
     _child(t.request.__dict__.get("_canon") or _memo(t.request, _request), out, slots)
     for f in t.stack:
-        _child(f.__dict__.get("_canon") or _memo(f, _frame), out, slots)
+        _child(f.__dict__.get("_canon") or _memo(f, _body), out, slots)
     return _shape(out, slots)
 
 
@@ -468,70 +396,6 @@ def masp_digest(config: MaspConfig) -> str:
 # -- cooperative configurations ------------------------------------------------
 
 
-def _aguard(g, out, slots):
-    if isinstance(g, GBool):
-        _expr(g.expr, out, slots)
-    elif isinstance(g, GFut):
-        out.append(f"{g.var}?")
-    elif isinstance(g, RGFut):
-        out.append("<")
-        _val(g.value, out, slots)
-        out.append(">?")
-    else:
-        _aguard(g.left, out, slots)
-        out.append("&&")
-        _aguard(g.right, out, slots)
-
-
-def _arhs(r, out, slots):
-    if isinstance(r, ANew):
-        out.append(f"{'newL' if r.local else 'new'} {r.cls}(")
-        _args(r.args, out, slots)
-        out.append(")")
-    elif isinstance(r, (ASync, AAsync)):
-        _expr(r.target, out, slots)
-        out.append(f"{'.' if isinstance(r, ASync) else '!'}{r.method}(")
-        _args(r.args, out, slots)
-        out.append(")")
-    elif isinstance(r, AGet):
-        _expr(r.expr, out, slots)
-        out.append(".get")
-    else:
-        _expr(r, out, slots)
-
-
-def _astmt(s) -> tuple:
-    out, slots = [], {}
-    if isinstance(s, ASkip):
-        out.append("skip")
-    elif isinstance(s, ASuspend):
-        out.append("suspend")
-    elif isinstance(s, AReturn):
-        out.append("ret ")
-        _expr(s.expr, out, slots)
-    elif isinstance(s, AAwait):
-        out.append("await ")
-        _aguard(s.guard, out, slots)
-    elif isinstance(s, AAssign):
-        out.append(f"{s.target}=")
-        _arhs(s.rhs, out, slots)
-    elif isinstance(s, AIf):
-        out.append("if(")
-        _expr(s.cond, out, slots)
-        out.append("){")
-        _stmts(aseq_list(s.then), _astmt, out, slots)
-        out.append("}{")
-        _stmts(aseq_list(s.els), _astmt, out, slots)
-        out.append("}")
-    else:
-        raise TypeError(f"bad statement {s!r}")
-    return _shape(out, slots)
-
-
-def _process(p) -> tuple:
-    return _body(p.locals, p.stmts, _astmt)
-
-
 def _ob(ob) -> tuple:
     out, slots = [f"ob {ob.name.ident} {ob.cls}["], {}
     _locals(ob.fields, out, slots)
@@ -539,10 +403,10 @@ def _ob(ob) -> tuple:
     if ob.active is None:
         out.append("idle")
     else:
-        _child(_memo(ob.active, _process), out, slots)
+        _child(_memo(ob.active, _body), out, slots)
     out.append("|")
     for p in ob.queue:
-        _child(_memo(p, _process), out, slots)
+        _child(_memo(p, _body), out, slots)
     return _shape(out, slots)
 
 

@@ -130,7 +130,8 @@ def _cmd_check_sim(args) -> int:
                 f"{r['direction']}: matched {r['matched']}/{r['steps_checked']}"
                 f" (outside fragment {r['outside_fragment']},"
                 f" restriction skips {r['skipped_restriction']},"
-                f" failures {len(r['failures'])})"
+                f" failures {len(r['failures'])}), states {r['states']}"
+                + (", truncated" if r["truncated"] else "")
             )
     return 1 if any(r.failures for r in reports) else 0
 

@@ -56,7 +56,7 @@ from typing import NamedTuple
 
 from .absm.runtime import AbsConfig, Ob, Process, RGFut
 from .lang.ast_abs import AAssign, AAwait, AReturn, GFut
-from .lang.ast_expr import Lit, MethodLit, RuntimeVal
+from .lang.ast_expr import Lit, MethodLit, RuntimeVal, node_fields
 from .lang.ast_masp import MAssign, MInvoke, MNew, MNewActive, MReturn
 from .masp.evalfn import chase, evaluate
 from .masp.runtime import MaspConfig, MHole, Obj, bind
@@ -262,16 +262,15 @@ def _is_plain(x) -> bool:
     cls = x.__class__
     if cls is tuple:
         return all(_is_plain(y) for y in x)
-    if not hasattr(cls, "__dataclass_fields__"):
+    fields = node_fields[cls]
+    if fields is None:
         return cls is not bool
     if cls is RuntimeVal:
         plain = False
     elif cls is MethodLit:
         plain = not x.name.startswith("condition_")
     else:
-        plain = all(
-            _is_plain(getattr(x, f)) for f in cls.__dataclass_fields__ if f != "pos"
-        )
+        plain = all(_is_plain(getattr(x, f)) for f in fields)
     object.__setattr__(x, "_plain", plain)
     return plain
 
@@ -308,14 +307,10 @@ def _stmts_match(a, b, store, cn, ctx) -> bool:
         return False
     if a is None or isinstance(a, (str, int, bool, frozenset)):
         return a == b
-    if hasattr(a, "__dataclass_fields__"):
-        for f in a.__dataclass_fields__:
-            if f == "pos":
-                continue
-            if not _stmts_match(getattr(a, f), getattr(b, f), store, cn, ctx):
-                return False
-        return True
-    return a == b
+    fields = node_fields[type(a)]
+    if fields is None:
+        return a == b
+    return all(_stmts_match(getattr(a, f), getattr(b, f), store, cn, ctx) for f in fields)
 
 
 _UNKNOWN = object()  # value of a temporary whose meta-call is still pending

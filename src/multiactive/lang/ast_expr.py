@@ -62,3 +62,18 @@ class RuntimeVal:
 
 
 Expr = Union[Lit, Var, This, Binop, Unop, MethodLit, RuntimeVal]
+
+
+class _NodeFields(dict):
+    """``node_fields[cls]``: the field names of a syntax node's class but
+    ``pos``, in declaration order (None for a class that is no
+    dataclass), computed once per class: what a node's structure is, for
+    the walks over it."""
+
+    def __missing__(self, cls):
+        dc = getattr(cls, "__dataclass_fields__", None)
+        fields = self[cls] = None if dc is None else tuple(f for f in dc if f != "pos")
+        return fields
+
+
+node_fields = _NodeFields()

@@ -38,6 +38,7 @@ SYNC_RULES = {
 }
 
 # known matching sequences for the common rows, tried before the search
+# (Read-Fut and Return are left to it: no fixed sequence of theirs applied)
 PRESCRIBED = {
     "Skip": (("Skip",),),
     "Assign-Local": (("Assign-Local",),),
@@ -48,17 +49,10 @@ PRESCRIBED = {
         ("Invk-Passive", "Return-Local", "Assign-Local"),
     ),
     "Release-Cog": ((),),
-    "Read-Fut": (
-        ("Set-Hard-Limit", "Update", "Invk-Passive", "Return-Local",
-         "Set-Soft-Limit", "Assign-Local"),
-        ("Set-Hard-Limit", "Invk-Passive", "Return-Local",
-         "Set-Soft-Limit", "Assign-Local"),
-    ),
     "Activate": (
         ("Activate-Thread",),
         ("Serve", "Invk-Passive", "Return-Local", "Assign-Local", "Invk-Passive"),
     ),
-    "Return": (("Return", "Return-Local"), ("Return",)),
 }
 
 

@@ -2,19 +2,29 @@
 
 import itertools
 import random
+import typing
 
 import pytest
 from alphaoracle import abs_alpha_equiv, masp_alpha_equiv
+from multiactive import canon, corpus_path, parse_abs, parse_masp
 from multiactive.absm.engine import abs_initial_config
-from multiactive.absm.runtime import AbsConfig, Ob, Process
+from multiactive.absm.runtime import AbsConfig, Ob, Process, RGFut
 from multiactive.absm.steps import abs_apply_step, abs_enabled_steps
 from multiactive.canon import abs_digest, masp_digest
-from multiactive.explore import explore
-from multiactive.lang.ast_abs import AReturn
-from multiactive.lang.ast_expr import Lit
-from multiactive.lang.ast_masp import MReturn
+from multiactive.explore import explore, semantics_of
+from multiactive.lang.ast_abs import (
+    AAssign, AAsync, AAwait, AGet, AIf, ANew, AReturn, ARhs, ASeq, ASkip, AStmt, ASuspend,
+    ASync, GAnd, GBool, GFut, Guard,
+)
+from multiactive.lang.ast_expr import Binop, Expr, Lit, MethodLit, RuntimeVal, This, Unop, Var
+from multiactive.lang.ast_masp import (
+    MAssign, MIf, MInvoke, MNew, MNewActive, MReturn, MRhs, MSeq, MSetLimit, MSkip, MStmt,
+)
+from multiactive.lang.lexer import tokenize
 from multiactive.masp.engine import initial_config
-from multiactive.masp.runtime import Activity, Frame, FutBinder, MaspConfig, Obj, Request, Thread
+from multiactive.masp.runtime import (
+    Activity, Frame, FutBinder, MaspConfig, MHole, Obj, Request, Thread,
+)
 from multiactive.masp.steps import apply_step, enabled_steps
 from multiactive.translate import translate_program
 from multiactive.values import UNRESOLVED, ActRef, FutRef, Loc, ObjRef
@@ -283,6 +293,78 @@ def test_exhaustive_state_counts_are_pinned(name, states, transitions):
     r = explore(config, depth=10**6, width=10**7)
     assert not r.frontier_truncated
     assert (r.states_visited, r.transitions) == (states, transitions)
+
+
+# -- statement shapes -----------------------------------------------------------
+
+
+def _reformatted(text):
+    """``text`` with other whitespace and line breaks between its tokens."""
+    gaps = itertools.cycle(["\n", "  ", "\n\t", " \n  "])
+    words = [f'"{t.text}"' if t.kind == "STRING" else t.text for t in tokenize(text)[:-1]]
+    return "".join(w + next(gaps) for w in words)
+
+
+@pytest.mark.parametrize("name", ["peer_policy.masp", "chat.abs", "chat.abs>masp"])
+def test_reformatted_program_digests_the_same(name):
+    """Positions take no part in a shape: the same program laid out
+    otherwise digests the same along a seeded walk."""
+    source_name = name.split(">")[0]
+    source = corpus_path(source_name).read_text()
+    other = _reformatted(source)
+    assert other != source
+    parse = parse_masp if source_name.endswith(".masp") else parse_abs
+    programs = [parse(text, filename=source_name) for text in (source, other)]
+    if name.endswith(">masp"):
+        programs = [translate_program(p) for p in programs]
+    sem = semantics_of(programs[0])
+    a, b = (sem.initial(p) for p in programs)
+    rng = random.Random(3)
+    for _ in range(80):
+        assert sem.digest(a) == sem.digest(b)
+        labels_a, labels_b = sem.enabled(a), sem.enabled(b)
+        assert [l.key() for l in labels_a] == [l.key() for l in labels_b]
+        if not labels_a:
+            break
+        i = rng.randrange(len(labels_a))
+        a, b = sem.apply(a, labels_a[i]), sem.apply(b, labels_b[i])
+
+
+def _every_syntax_node():
+    e = Var("x")
+    return [
+        Lit(1), e, This(), Binop("+", e, Lit(2)), Unop("!", Lit(True)), MethodLit("m"),
+        RuntimeVal(FutRef("f1")),
+        MInvoke(e, "m", None, (e,), "rest"), MNew("C", (e,)), MNewActive("C"),
+        MSkip(), MAssign("x", e), MReturn(e), MSetLimit("H"), MIf(e, MSkip(), MReturn(e)),
+        MSeq(MSkip(), MReturn(e)), MHole("x"),
+        ASync(e, "m", (e,)), AAsync(e, "m"), ANew("C", (e,), True, "n1"), AGet(e),
+        GBool(e), GFut("x"), GAnd(GFut("x"), GBool(e)), RGFut(FutRef("f1")),
+        ASkip(), AAssign("x", e), ASuspend(), AAwait(GFut("x")), AReturn(e),
+        AIf(e, ASkip(), ASuspend()), ASeq(ASkip(), ASuspend()),
+    ]
+
+
+def test_every_syntax_class_gets_a_shape():
+    nodes = _every_syntax_node()
+    listed = {type(n) for n in nodes}
+    for union in (Expr, MRhs, MStmt, ARhs, Guard, AStmt):
+        assert set(typing.get_args(union)) <= listed, union
+    assert {MHole, RGFut} <= listed
+    shapes = [canon._shape_of(n) for n in nodes]
+    assert len({h for h, _ in shapes}) == len(nodes)
+    for n, (h, names) in zip(nodes, shapes):
+        assert len(h) == 16
+        assert names == ((("F", "f1"),) if type(n) in (RuntimeVal, RGFut) else ())
+    # a future's name is a slot, not part of the hash
+    assert canon._shape_of(RGFut(FutRef("f7")))[0] == shapes[nodes.index(RGFut(FutRef("f1")))][0]
+
+
+def test_booleans_and_integers_shape_apart():
+    one, true = MAssign("x", RuntimeVal(1)), MAssign("x", RuntimeVal(True))
+    assert one == true  # as in Python, where 1 == True
+    assert canon._shape_of(one) != canon._shape_of(true)
+    assert canon._shape_of(Lit(1)) != canon._shape_of(Lit(True))
 
 
 # -- tie-breaks no corpus program reaches -------------------------------------

@@ -193,7 +193,7 @@ def test_width_caps_the_states_reported():
 # SHA-256 of ``explore(...).to_json()`` (keys sorted) at depth 60 / width
 # 1,500 with the default properties. "x.abs>masp" explores the translation.
 EXPLORE_PINS = {
-    "circular_hard.masp": "b52531483eafba34bf22a27d5533fd22e6538e16c7aea28cd3148ce5819edc08",
+    "circular_hard.masp": "3259fc6bcaf655d2fa2df7e6437c6764147c812ce477e882f8250b8192ebc739",
     "circular_soft.masp": "98aae29ae93c688847608e980a22de4b2ce62d23f53f7ba89edb53c7e4692d1e",
     "peer_policy.masp": "d6dbacc5e52a43b3a96372286572d566f6a2037794109e56199b178b4911004b",
     "bank_account.abs": "d3e5d53084d493e3a232bbd9d456e9c64af5cadb74211ee854c3a6435385df97",

@@ -89,6 +89,18 @@ def test_cli_check_sim(capsys):
     assert payload[0]["failures"] == []
 
 
+def test_cli_check_sim_text_shows_states_and_truncation(capsys):
+    target = str(corpus_path("bank_account.abs"))
+    assert cli(["check-sim", target, "--width", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["forward", "backward"]
+    assert all(line.endswith("states 1, truncated") for line in lines)
+    assert cli(["check-sim", target, "--depth", "3", "--direction", "forward"]) == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    assert "truncated" not in line
+    assert "states " in line
+
+
 def test_cli_trace_dump(tmp_path, capsys):
     target = str(corpus_path("circular_soft.masp"))
     out = tmp_path / "t.jsonl"
