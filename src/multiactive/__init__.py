@@ -18,7 +18,6 @@ from .equiv import EquivContext, config_equiv, stmt_equiv, value_equiv
 from .simulate import check_backward_simulation, check_forward_simulation
 from .explore import explore, default_properties
 from .deadlock import diagnose_deadlock
-from .policy import cog_policy
 from .cli import cli
 
 __version__ = "0.1.0"

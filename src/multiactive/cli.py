@@ -133,7 +133,13 @@ def _cmd_check_sim(args) -> int:
                 f" failures {len(r['failures'])}), states {r['states']}"
                 + (", truncated" if r["truncated"] else "")
             )
-    return 1 if any(r.failures for r in reports) else 0
+    unchecked = [r for r in reports if r.truncated and not r.steps_checked]
+    for r in unchecked:
+        print(
+            f"check-sim: the width cut {r.direction} before its first step",
+            file=sys.stderr,
+        )
+    return 1 if unchecked or any(r.failures for r in reports) else 0
 
 
 def _cmd_trace(args) -> int:

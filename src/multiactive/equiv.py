@@ -12,13 +12,15 @@ them, so two memos live on the statement objects themselves, outside
 the dataclass fields (``==`` and ``hash`` ignore them):
 
 - a cooperative statement keeps its translation, one per temporary
-  prefix, and the translation of a remaining tail is the concatenation
-  of those tuples. Each statement is translated under a fresh context,
-  where one threaded context would number boolean-guard methods
-  ``condition_1``, ``condition_2``, ... across the tail. That numbering
-  is the only state a context carries from one statement to the next
-  (the scope is empty here), and ``_stmts_match`` accepts any
-  ``condition_<k>`` for any other, so the verdict is the same;
+  prefix and scope (the variables of the process it runs in, which a
+  boolean guard passes on to its condition method), and the translation
+  of a remaining tail is the concatenation of those tuples. Each
+  statement is translated under a fresh context, where one threaded
+  context would number boolean-guard methods ``condition_1``,
+  ``condition_2``, ... across the tail. That numbering is the only state
+  a context carries from one statement to the next, and ``_stmts_match``
+  accepts any ``condition_<k>`` for any other, so the verdict is the
+  same;
 - every statement node (either language, expressions included) keeps a
   flag saying it holds no ``RuntimeVal``, no ``MethodLit`` naming a
   ``condition_<k>`` method and no bool. Two such trees match exactly
@@ -224,27 +226,29 @@ def _predicted(fname: str, mcn) -> object:
 # -- statement equivalence -----------------------------------------------------
 
 
-def _translated(s, prefix: str):
-    """``translate_statement(s)`` under a fresh context, memoized on the
-    (immutable) statement per prefix; None if it does not translate."""
+def _translated(s, prefix: str, scope: tuple):
+    """``translate_statement(s)`` under a fresh context with the given
+    scope, memoized on the (immutable) statement per prefix and scope;
+    None if it does not translate."""
     memo = s.__dict__.get("_translated")
     if memo is None:
         memo = {}
         object.__setattr__(s, "_translated", memo)
-    if prefix not in memo:
-        tctx = TranslationContext(prefix=prefix)
+    key = (prefix, scope)
+    if key not in memo:
+        tctx = TranslationContext(prefix=prefix, scope=scope)
         try:
-            memo[prefix] = tuple(translate_statement(s, tctx))
+            memo[key] = tuple(translate_statement(s, tctx))
         except Exception:
-            memo[prefix] = None
-    return memo[prefix]
+            memo[key] = None
+    return memo[key]
 
 
-def _translate_tail(abs_stmts, ctx: EquivContext):
+def _translate_tail(abs_stmts, ctx: EquivContext, scope: tuple):
     """Translate remaining runtime statements, each on its own."""
     out = ()
     for s in abs_stmts:
-        t = _translated(s, ctx.prefix)
+        t = _translated(s, ctx.prefix, scope)
         if t is None:
             return None
         out += t
@@ -357,11 +361,14 @@ def stmt_equiv(
     cn,
     ctx: EquivContext = None,
     relaxed: bool = False,
+    scope: tuple = (),
 ) -> bool:
     """Either the translation of the remainder matches, or both sides start
     with an assignment of equivalent values to the same variable. The
     relaxed mode additionally aligns a partially-consumed first clause
-    (the backward direction's adapted relation)."""
+    (the backward direction's adapted relation). ``scope`` holds the
+    cooperative process's variables, which the translation of a boolean
+    guard passes on."""
     ctx = ctx if ctx is not None else EquivContext()
     masp_stmts, vlocals = _strip_temps(
         tuple(masp_stmts), ctx, store, locals_, relaxed
@@ -375,7 +382,7 @@ def stmt_equiv(
         out, _ = _strip_temps(tuple(stmts), ctx, relaxed=relaxed)
         return out
 
-    translated = norm(_translate_tail(abs_stmts, ctx))
+    translated = norm(_translate_tail(abs_stmts, ctx, scope))
     if translated is not None and _stmts_match(translated, masp_stmts, store, cn, ctx):
         return True
     if not abs_stmts or not masp_stmts:
@@ -394,15 +401,15 @@ def stmt_equiv(
         except Exception:
             w = _UNKNOWN
         if w is not _UNKNOWN and value_equiv(v, w, store, cn, ctx):
-            translated = norm(_translate_tail(abs_stmts[1:], ctx))
+            translated = norm(_translate_tail(abs_stmts[1:], ctx, scope))
             rest, _ = _strip_temps(masp_stmts[1:], ctx, store, vlocals, relaxed)
             if translated is not None and _stmts_match(
                 translated, rest, store, cn, ctx
             ):
                 return True
     if relaxed:
-        head_clause = _translate_tail(abs_stmts[:1], ctx)
-        rest = _translate_tail(abs_stmts[1:], ctx)
+        head_clause = _translate_tail(abs_stmts[:1], ctx, scope)
+        rest = _translate_tail(abs_stmts[1:], ctx, scope)
         if head_clause is not None and rest is not None:
             for i in range(1, len(head_clause) + 1):
                 cand = norm(head_clause[i:] + rest)
@@ -518,7 +525,8 @@ def _task_equiv(
         if not _frame_locals_equiv(proc, top.locals, act.store, cn, ctx):
             return False
         return stmt_equiv(
-            proc.stmts, top.stmts, act.store, top.locals, cn, ctx, relaxed
+            proc.stmts, top.stmts, act.store, top.locals, cn, ctx, relaxed,
+            scope=tuple(proc.locals),
         )
     if not relaxed:
         return False
@@ -576,7 +584,10 @@ def _bound_start_equiv(proc, req, act, program, cn, ctx, witness_loc) -> bool:
         return False
     if not _frame_locals_equiv(proc, frame.locals, act.store, cn, ctx):
         return False
-    return stmt_equiv(proc.stmts, frame.stmts, act.store, frame.locals, cn, ctx)
+    return stmt_equiv(
+        proc.stmts, frame.stmts, act.store, frame.locals, cn, ctx,
+        scope=tuple(proc.locals),
+    )
 
 
 def _queued_equiv(proc: Process, req, act, program, cn, ctx, witness_loc) -> bool:

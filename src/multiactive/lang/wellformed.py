@@ -1,38 +1,25 @@
-"""Static well-formedness checks; diagnostics are the result, never raised."""
+"""Static well-formedness checks; diagnostics are the result, never raised.
+
+Both languages are read through one structural walk, ``syntax_uses``. It
+takes a statement, guard or expression tree field by field in declaration
+order (``node_fields``), so names come out in source order. A ``Var`` is a
+read at its own position, an ``MNew``, ``MNewActive`` or ``ANew`` node is a
+construction, and ``NAME_FIELDS`` names the string fields that carry a
+variable, with the role the variable plays there:
+
+    MAssign.target, AAssign.target      written
+    MInvoke.method_var, GFut.var        read
+    MInvoke.vararg                      a rest-argument
+
+Every other string field (a method, class or node name) names no variable.
+"""
 
 from __future__ import annotations
 
 from ..diagnostics import NO_POS, Diagnostic
-from .ast_abs import (
-    AAssign,
-    AAsync,
-    AAwait,
-    AbsProgram,
-    AGet,
-    AIf,
-    ANew,
-    AReturn,
-    aseq_list,
-    ASkip,
-    ASuspend,
-    ASync,
-    GAnd,
-    GBool,
-    GFut,
-)
-from .ast_expr import Binop, Unop, Var
-from .ast_masp import (
-    MAssign,
-    MaspProgram,
-    MIf,
-    MInvoke,
-    MNew,
-    MNewActive,
-    MReturn,
-    MSetLimit,
-    MSkip,
-    mseq_list,
-)
+from .ast_abs import AAssign, AbsProgram, ANew, GFut
+from .ast_expr import Var, node_fields
+from .ast_masp import MAssign, MaspProgram, MInvoke, MNew, MNewActive
 
 MASP_RESERVED_FIELDS = ("this",)
 ABS_RESERVED = ("this", "cog", "myId", "destiny", "cont")
@@ -46,14 +33,43 @@ def check_wellformed(program) -> list:
     raise TypeError(f"not a program: {program!r}")
 
 
-def _expr_reads(e, out: list):
-    if isinstance(e, Var):
-        out.append((e.name, e.pos))
-    elif isinstance(e, Binop):
-        _expr_reads(e.left, out)
-        _expr_reads(e.right, out)
-    elif isinstance(e, Unop):
-        _expr_reads(e.operand, out)
+NAME_FIELDS = {
+    (MAssign, "target"): "write",
+    (AAssign, "target"): "write",
+    (MInvoke, "method_var"): "read",
+    (GFut, "var"): "read",
+    (MInvoke, "vararg"): "rest",
+}
+_CONSTRUCTIONS = (MNew, MNewActive, ANew)
+
+
+def syntax_uses(node, out=None) -> list:
+    """``(role, name, pos)`` for each use of a name in the syntax tree
+    ``node``, in source order: a "read", a "write", a "rest" argument, or
+    a "new" construction, which carries its node in place of a name."""
+    if out is None:
+        out = []
+    cls = node.__class__
+    if cls is tuple:
+        for x in node:
+            syntax_uses(x, out)
+        return out
+    if cls is Var:
+        out.append(("read", node.name, node.pos))
+        return out
+    fields = node_fields[cls]
+    if fields is None:  # a name, a constant or a runtime value
+        return out
+    if cls in _CONSTRUCTIONS:
+        out.append(("new", node, node.pos))
+    for f in fields:
+        value = getattr(node, f)
+        role = NAME_FIELDS.get((cls, f))
+        if role is None:
+            syntax_uses(value, out)
+        elif value is not None:
+            out.append((role, value, node.pos))
+    return out
 
 
 def _methods(c, reserved, diags):
@@ -72,57 +88,33 @@ def _methods(c, reserved, diags):
         yield m, set(m.params) | set(m.locals) | set(c.fields) | {"this"}
 
 
-def _check_undeclared(uses, scope, diags):
-    for name, pos in uses:
-        if name not in scope:
-            diags.append(Diagnostic(pos, f"undeclared variable {name}"))
+_ROLE_ORDER = {"read": 0, "write": 1, "rest": 2, "new": 3}
 
 
-def _check_news(p, news, diags):
-    for r in news:
-        cls = p.cls(r.cls)
-        if cls is None:
-            diags.append(Diagnostic(r.pos, f"undefined class {r.cls}"))
-        elif len(r.args) != len(cls.fields):
-            diags.append(
-                Diagnostic(
-                    r.pos,
-                    f"class {r.cls} takes {len(cls.fields)} arguments,"
-                    f" got {len(r.args)}",
+def _check_block(p, body, scope, vararg, diags):
+    """A body's reads, then its writes, then its rest-arguments, then its
+    constructions, each group in source order."""
+    for role, x, pos in sorted(syntax_uses(body), key=lambda u: _ROLE_ORDER[u[0]]):
+        if role == "new":
+            cls = p.cls(x.cls)
+            if cls is None:
+                diags.append(Diagnostic(pos, f"undefined class {x.cls}"))
+            elif len(x.args) != len(cls.fields):
+                diags.append(
+                    Diagnostic(
+                        pos,
+                        f"class {x.cls} takes {len(cls.fields)} arguments,"
+                        f" got {len(x.args)}",
+                    )
                 )
-            )
+        elif role == "rest":
+            if x != vararg:
+                diags.append(Diagnostic(pos, f"{x}... is not the rest-parameter"))
+        elif x not in scope:
+            diags.append(Diagnostic(pos, f"undeclared variable {x}"))
 
 
 # -- multi-active object language -------------------------------------------
-
-
-def _masp_stmt_uses(s, reads: list, writes: list, news: list, varargs: list):
-    for part in mseq_list(s):
-        if isinstance(part, (MSkip, MSetLimit)):
-            continue
-        if isinstance(part, MReturn):
-            _expr_reads(part.expr, reads)
-        elif isinstance(part, MAssign):
-            writes.append((part.target, part.pos))
-            r = part.rhs
-            if isinstance(r, (MNew, MNewActive)):
-                news.append(r)
-                for a in r.args:
-                    _expr_reads(a, reads)
-            elif isinstance(r, MInvoke):
-                _expr_reads(r.target, reads)
-                if r.method_var:
-                    reads.append((r.method_var, r.pos))
-                for a in r.args:
-                    _expr_reads(a, reads)
-                if r.vararg:
-                    varargs.append((r.vararg, r.pos))
-            else:
-                _expr_reads(r, reads)
-        elif isinstance(part, MIf):
-            _expr_reads(part.cond, reads)
-            _masp_stmt_uses(part.then, reads, writes, news, varargs)
-            _masp_stmt_uses(part.els, reads, writes, news, varargs)
 
 
 def _check_masp(p: MaspProgram) -> list:
@@ -145,21 +137,9 @@ def _check_masp(p: MaspProgram) -> list:
                 )
             if m.vararg:
                 scope.add(m.vararg)
-            _check_masp_block(p, m.body, scope, m.vararg, diags)
-    _check_masp_block(
-        p, p.main_body, set(p.main_locals) | {"this"}, None, diags
-    )
+            _check_block(p, m.body, scope, m.vararg, diags)
+    _check_block(p, p.main_body, set(p.main_locals) | {"this"}, None, diags)
     return diags
-
-
-def _check_masp_block(p, body, scope, vararg, diags):
-    reads, writes, news, varargs = [], [], [], []
-    _masp_stmt_uses(body, reads, writes, news, varargs)
-    _check_undeclared(reads + writes, scope, diags)
-    for name, pos in varargs:
-        if name != vararg:
-            diags.append(Diagnostic(pos, f"{name}... is not the rest-parameter"))
-    _check_news(p, news, diags)
 
 
 def _check_policy(c) -> list:
@@ -204,45 +184,6 @@ def _check_policy(c) -> list:
 # -- cooperative active-object language --------------------------------------
 
 
-def _guard_reads(g, reads: list):
-    if isinstance(g, GBool):
-        _expr_reads(g.expr, reads)
-    elif isinstance(g, GFut):
-        reads.append((g.var, g.pos))
-    elif isinstance(g, GAnd):
-        _guard_reads(g.left, reads)
-        _guard_reads(g.right, reads)
-
-
-def _abs_stmt_uses(s, reads: list, writes: list, news: list):
-    for part in aseq_list(s):
-        if isinstance(part, (ASkip, ASuspend)):
-            continue
-        if isinstance(part, AReturn):
-            _expr_reads(part.expr, reads)
-        elif isinstance(part, AAwait):
-            _guard_reads(part.guard, reads)
-        elif isinstance(part, AAssign):
-            writes.append((part.target, part.pos))
-            r = part.rhs
-            if isinstance(r, ANew):
-                news.append(r)
-                for a in r.args:
-                    _expr_reads(a, reads)
-            elif isinstance(r, (ASync, AAsync)):
-                _expr_reads(r.target, reads)
-                for a in r.args:
-                    _expr_reads(a, reads)
-            elif isinstance(r, AGet):
-                _expr_reads(r.expr, reads)
-            else:
-                _expr_reads(r, reads)
-        elif isinstance(part, AIf):
-            _expr_reads(part.cond, reads)
-            _abs_stmt_uses(part.then, reads, writes, news)
-            _abs_stmt_uses(part.els, reads, writes, news)
-
-
 def _check_abs(p: AbsProgram) -> list:
     diags = []
     seen = set()
@@ -259,16 +200,9 @@ def _check_abs(p: AbsProgram) -> list:
             for name in (*m.params, *m.locals):
                 if name in ABS_RESERVED:
                     diags.append(Diagnostic(m.pos, f"name {name} is reserved"))
-            _check_abs_block(p, m.body, scope, diags)
+            _check_block(p, m.body, scope, None, diags)
     for name in p.main_locals:
         if name in ABS_RESERVED:
             diags.append(Diagnostic(NO_POS, f"name {name} is reserved"))
-    _check_abs_block(p, p.main_body, set(p.main_locals) | {"this"}, diags)
+    _check_block(p, p.main_body, set(p.main_locals) | {"this"}, None, diags)
     return diags
-
-
-def _check_abs_block(p, body, scope, diags):
-    reads, writes, news = [], [], []
-    _abs_stmt_uses(body, reads, writes, news)
-    _check_undeclared(reads + writes, scope, diags)
-    _check_news(p, news, diags)

@@ -16,7 +16,7 @@ from ..lang.ast_expr import Var
 from ..lang.ast_masp import MaspProgram, MReturn
 from ..lang.parser_masp import parse_masp
 from ..lang.pretty import pretty_masp
-from ..policy import DEFAULT_POLICY, cog_policy
+from ..policy import DEFAULT_POLICY, resolve_policy
 from ..properties import MASP_PROPERTIES
 from ..trace import Semantics, StepRecord, Trace, replay_steps, run_steps
 from ..values import ActRef, Loc, MethodVal
@@ -71,7 +71,7 @@ def initial_config(program: MaspProgram) -> MaspConfig:
             store=store,
             current={MAIN_FUTURE: Thread(request, "A", (top, below))},
             queue=(),
-            policy=cog_policy(),
+            policy=resolve_policy(program.cls("COG")),
             loc_counter=2,
             registry={MAIN_OBJECT_ID: main_loc},
         )

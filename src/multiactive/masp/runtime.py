@@ -24,7 +24,7 @@ from typing import Optional, Tuple
 
 from ..lang.ast_expr import Lit
 from ..lang.ast_masp import MaspMethod, MaspProgram, MReturn, mseq_list
-from ..policy import DEFAULT_POLICY, ResolvedPolicy, cog_policy, resolve_policy
+from ..policy import DEFAULT_POLICY, ResolvedPolicy
 from ..values import UNRESOLVED, Loc, evolve
 
 # methods of the COG class whose bodies live in the engine
@@ -133,15 +133,6 @@ def flatten_body(stmt) -> tuple:
     if not parts or not isinstance(parts[-1], MReturn):
         parts = parts + [MReturn(Lit(None))]
     return tuple(parts)
-
-
-def class_policy(cls) -> ResolvedPolicy:
-    if cls.name == "COG":
-        # static annotations are carried by the generated class, but the
-        # dynamic register/execute rule and the native methods come with
-        # the COG shape itself
-        return cog_policy()
-    return resolve_policy(cls)
 
 
 def is_native(cls_name: Optional[str], method: str) -> bool:

@@ -41,6 +41,7 @@ from ..lang.ast_masp import (
 from ..policy import (
     activate_admissible,
     priority_filter,
+    resolve_policy,
     serve_admissible,
 )
 from ..values import (
@@ -73,7 +74,6 @@ from .runtime import (
     Thread,
     bind,
     bindable,
-    class_policy,
     is_native,
 )
 
@@ -515,7 +515,7 @@ def _apply_new_active(config, label):
     active_loc = Loc(counter + 1)
     new_store = dict(piece_r)
     new_store[active_loc] = Obj(cls.name, dict(zip(cls.fields, args_r)))
-    policy = class_policy(cls)
+    policy = resolve_policy(cls)
     new_act = Activity(
         name=beta,
         cls=cls.name,

@@ -187,30 +187,3 @@ def priority_filter(rp: ResolvedPolicy, candidates: list) -> list:
         if not dominated:
             keep.append(payload)
     return keep
-
-
-def cog_policy() -> ResolvedPolicy:
-    """The scheduling policy of generated COG classes.
-
-    One execute thread at a time (self compatible so interleaving passive
-    threads may pile up), exclusive id allocation, unlimited registration
-    and condition evaluation, register/execute conflicting on equal ids.
-    """
-    groups = (
-        GroupDecl("allocation", self_compatible=False, max_threads=1),
-        GroupDecl("scheduling", self_compatible=True, max_threads=1),
-        GroupDecl("registration", self_compatible=True, max_threads=None),
-        GroupDecl("conditions", self_compatible=True, max_threads=None),
-    )
-    names = [g.name for g in groups]
-    pairs = frozenset(
-        frozenset((a, b)) for i, a in enumerate(names) for b in names[i + 1 :]
-    )
-    pol = GroupPolicy(groups=groups, compatible_pairs=pairs)
-    mg = (
-        ("freshId", "allocation"),
-        ("execute", "scheduling"),
-        ("register", "registration"),
-        ("execute_condition", "conditions"),
-    )
-    return ResolvedPolicy(pol, mg, _cog_dynamic_rule)

@@ -48,6 +48,7 @@ from .lang.ast_masp import (
     MSkip,
     mseq,
 )
+from .lang.wellformed import syntax_uses
 
 RESERVED_METHODS = ("cog", "myId", "get")
 COG_METHODS = ("freshId", "register", "retrieve", "execute", "execute_condition")
@@ -287,7 +288,8 @@ def _translate_await(g, ctx) -> list:
     # boolean guard: one generated condition method per await site
     ctx.condition_counter += 1
     name = f"condition_{ctx.condition_counter}"
-    used = [v for v in _appearance_vars(g.expr) if v in ctx.scope]
+    reads = dict.fromkeys(v for _, v, _ in syntax_uses(g.expr))
+    used = [v for v in reads if v in ctx.scope]
     ctx.condition_methods.append(
         _condition_method(ctx, name, tuple(used), g.expr)
     )
@@ -306,23 +308,6 @@ def _translate_await(g, ctx) -> list:
         MAssign(w, MInvoke(Var(z), "get", None, ())),
     ]
     return [MIf(Unop("!", g.expr), mseq(call), MSkip(), pos=g.pos)]
-
-
-def _appearance_vars(e) -> list:
-    """Variable names in left-to-right first-appearance order."""
-    out = []
-
-    def walk(x):
-        if isinstance(x, Var) and x.name not in out:
-            out.append(x.name)
-        elif isinstance(x, Binop):
-            walk(x.left)
-            walk(x.right)
-        elif isinstance(x, Unop):
-            walk(x.operand)
-
-    walk(e)
-    return out
 
 
 def _translate_assign(s, ctx) -> list:

@@ -6,12 +6,13 @@ from multiactive.policy import (
     ResolvedPolicy,
     ThreadAccount,
     activate_admissible,
-    cog_policy,
     compatible,
     priority_filter,
     ready,
+    resolve_policy,
     serve_admissible,
 )
+from multiactive.translate import cog_class
 from multiactive.values import Loc, MethodVal
 
 
@@ -73,7 +74,7 @@ def test_ready_vacuous_and_blocking():
 
 
 def test_cog_policy_table():
-    rp = cog_policy()
+    rp = resolve_policy(cog_class())
     ex = lambda f, m, args=(): Request(f, m, args)
     assert compatible(ex("f1", "execute", (1,)), ex("f2", "execute", (2,)), rp)
     assert not compatible(ex("f1", "freshId"), ex("f2", "freshId"), rp)

@@ -142,6 +142,35 @@ class C(v) {
     assert rep.outside_fragment > 0
 
 
+GUARD_OVER_PARAMETER = """
+class C(v) { method m(x) { await x == 2; return v } }
+{ vars c, f, r; c = new C(1); f = c!m(2); await f?; r = f.get }
+"""
+
+GUARD_OVER_LOCAL = """
+class C(v) { method m(x) { vars y; y = x; await y == 2; return v } }
+{ vars c, f, r; c = new C(1); f = c!m(2); await f?; r = f.get }
+"""
+
+
+@pytest.mark.parametrize(
+    "src, steps, outside",
+    [(GUARD_OVER_PARAMETER, 52, 15), (GUARD_OVER_LOCAL, 60, 9)],
+    ids=["parameter", "local"],
+)
+def test_bool_guard_over_method_variables(src, steps, outside):
+    """A boolean guard's condition method takes the variables the guard
+    reads, so a running process's statements translate under its own
+    variables: the ``condition_<k>`` call keeps its arguments."""
+    program = parse_abs(src)
+    fwd = check_forward_simulation(program, depth=30, width=10_000)
+    assert fwd.failures == []
+    assert fwd.matched == fwd.steps_checked == steps
+    bwd = check_backward_simulation(program, depth=30, width=10_000)
+    assert bwd.failures == []
+    assert bwd.outside_fragment == outside
+
+
 def test_future_of_future_branches_skipped():
     src = """
 class Inner() { method val() { return 5 } }

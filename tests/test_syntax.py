@@ -175,3 +175,82 @@ def test_reserved_names_abs():
 def test_constructor_arity_checked():
     p = parse_masp("class C(a, b){ } { vars x; x = new C(1) }")
     assert any("takes 2 arguments" in d.message for d in check_wellformed(p))
+
+
+# Every role a name can play in a statement, in both languages: reads in
+# expressions, an invoke's target and method variable, a rest-argument,
+# future and boolean guards, assignment targets, and constructions of an
+# undefined class or with the wrong arity. A block reports its reads,
+# then its writes, then its rest-arguments, then its constructions.
+ILL_FORMED_MASP = """
+class C(a) {
+  method m(p, rest...) {
+    vars q;
+    q = u.(mv)(p, w, z...);
+    x = new D(1);
+    q = newActive C(1, 2);
+    if (k > 0) { r = 1 } else { q = rest.m(more...) };
+    return t
+  }
+}
+{ vars c; c = newActive E(); d = c.m(1, xs...); c = new C(); c = -n }
+"""
+
+ILL_FORMED_ABS = """
+class A(x) {
+  method m(p) {
+    vars l;
+    await g? && h > p && l?;
+    w = new B(1);
+    l = new local A();
+    v = u!m(k);
+    l = q.get;
+    if (z) { l = o.m(j) } else { suspend };
+    return y
+  }
+}
+{ vars a; a = new A(1, 2); await b?; a = new "n" C(); c = a + e }
+"""
+
+
+def test_diagnostics_pinned_in_order():
+    masp = [str(d) for d in check_wellformed(parse_masp(ILL_FORMED_MASP))]
+    assert masp == [
+        "<input>:5:9: undeclared variable u",
+        "<input>:5:9: undeclared variable mv",
+        "<input>:5:19: undeclared variable w",
+        "<input>:8:9: undeclared variable k",
+        "<input>:9:12: undeclared variable t",
+        "<input>:6:5: undeclared variable x",
+        "<input>:8:18: undeclared variable r",
+        "<input>:5:9: z... is not the rest-parameter",
+        "<input>:8:37: more... is not the rest-parameter",
+        "<input>:6:9: undefined class D",
+        "<input>:7:9: class C takes 1 arguments, got 2",
+        "<input>:12:67: undeclared variable n",
+        "<input>:12:30: undeclared variable d",
+        "<input>:12:34: xs... is not the rest-parameter",
+        "<input>:12:15: undefined class E",
+        "<input>:12:53: class C takes 1 arguments, got 0",
+    ]
+    abs_ = [str(d) for d in check_wellformed(parse_abs(ILL_FORMED_ABS))]
+    assert abs_ == [
+        "<input>:5:11: undeclared variable g",
+        "<input>:5:17: undeclared variable h",
+        "<input>:8:9: undeclared variable u",
+        "<input>:8:13: undeclared variable k",
+        "<input>:9:9: undeclared variable q",
+        "<input>:10:9: undeclared variable z",
+        "<input>:10:18: undeclared variable o",
+        "<input>:10:22: undeclared variable j",
+        "<input>:11:12: undeclared variable y",
+        "<input>:6:5: undeclared variable w",
+        "<input>:8:5: undeclared variable v",
+        "<input>:6:9: undefined class B",
+        "<input>:7:9: class A takes 1 arguments, got 0",
+        "<input>:14:34: undeclared variable b",
+        "<input>:14:63: undeclared variable e",
+        "<input>:14:55: undeclared variable c",
+        "<input>:14:15: class A takes 1 arguments, got 2",
+        "<input>:14:42: undefined class C",
+    ]

@@ -91,14 +91,32 @@ def test_cli_check_sim(capsys):
 
 def test_cli_check_sim_text_shows_states_and_truncation(capsys):
     target = str(corpus_path("bank_account.abs"))
-    assert cli(["check-sim", target, "--width", "1"]) == 0
-    lines = capsys.readouterr().out.splitlines()
+    assert cli(["check-sim", target, "--width", "1"]) == 1  # nothing checked
+    out = capsys.readouterr()
+    assert out.err.splitlines() == [
+        "check-sim: the width cut forward before its first step",
+        "check-sim: the width cut backward before its first step",
+    ]
+    lines = out.out.splitlines()
     assert [line.split(":")[0] for line in lines] == ["forward", "backward"]
     assert all(line.endswith("states 1, truncated") for line in lines)
     assert cli(["check-sim", target, "--depth", "3", "--direction", "forward"]) == 0
     (line,) = capsys.readouterr().out.splitlines()
     assert "truncated" not in line
     assert "states " in line
+
+
+def test_cli_check_sim_fails_when_the_width_leaves_nothing_checked(capsys):
+    target = str(corpus_path("bank_account.abs"))
+    code = cli(["check-sim", target, "--width", "1", "--direction", "backward"])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "check-sim: the width cut backward before its first step"
+    ]
+    # cut after its first step, a direction still checked something
+    assert cli(["check-sim", target, "--width", "2", "--direction", "forward"]) == 0
+    out = capsys.readouterr()
+    assert out.out.rstrip().endswith("truncated") and out.err == ""
 
 
 def test_cli_trace_dump(tmp_path, capsys):
