@@ -125,18 +125,19 @@ def _cmd_check_sim(args) -> int:
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
+        cut = {"width": ", truncated", "depth": f", cut at depth {args.depth}"}
         for r in payload:
             print(
                 f"{r['direction']}: matched {r['matched']}/{r['steps_checked']}"
                 f" (outside fragment {r['outside_fragment']},"
                 f" restriction skips {r['skipped_restriction']},"
                 f" failures {len(r['failures'])}), states {r['states']}"
-                + (", truncated" if r["truncated"] else "")
+                + cut.get(r["stop"], "")
             )
-    unchecked = [r for r in reports if r.truncated and not r.steps_checked]
+    unchecked = [r for r in reports if r.stop != "exhausted" and not r.steps_checked]
     for r in unchecked:
         print(
-            f"check-sim: the width cut {r.direction} before its first step",
+            f"check-sim: the {r.stop} cut {r.direction} before its first step",
             file=sys.stderr,
         )
     return 1 if unchecked or any(r.failures for r in reports) else 0

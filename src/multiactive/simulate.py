@@ -1,11 +1,21 @@
 """Bounded weak-simulation checking between a cooperative program and
 its multi-active translation.
 
-Forward: every explored cooperative step is matched by a sequence of
-multi-active steps (the prescribed rule sequence first, then a bounded
-BFS over silent steps) reaching an equivalent configuration. Backward:
-every multi-active step of the translation maps to at most one
-observable cooperative rule plus listed auxiliaries.
+Both directions run one level-by-level search over pairs of
+configurations, a cooperative one and a multi-active one held
+equivalent, with the future bijection that relates them. A direction
+differs only in its per-pair step checker. Forward: every cooperative
+step is matched by a sequence of multi-active steps (the prescribed rule
+sequence first, then a bounded search over silent steps) reaching an
+equivalent configuration. Backward: every multi-active step of the
+translation maps to at most one observable cooperative rule plus listed
+auxiliaries. The matched pairs form the next level.
+
+A pair's level is its depth, so every pair is checked once, at its least
+depth. ``depth`` bounds the levels: pairs at that level are counted but
+not checked. ``width`` bounds the distinct pairs counted, the initial one
+included. ``SimulationReport.stop`` says which bound ended the search,
+if either did.
 
 Synchronous calls and boolean await guards lie outside the proved
 fragment; branches through them are flagged and pruned, not failed.
@@ -14,6 +24,7 @@ fragment; branches through them are flagged and pruned, not failed.
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass, field
 
 from .absm.engine import abs_initial_config
@@ -22,11 +33,13 @@ from .absm.steps import abs_apply_step, abs_enabled_steps, split_guard
 from .canon import abs_digest, masp_digest
 from .equiv import EquivContext, config_equiv
 from .lang.ast_abs import AAwait, GBool, AbsProgram
-from .lang.ast_masp import MIf
+from .lang.ast_expr import RuntimeVal
+from .lang.ast_masp import MAssign, MIf, MInvoke
 from .masp.engine import initial_config
+from .masp.evalfn import evaluate
 from .masp.steps import apply_step, enabled_steps
 from .translate import _pick_prefix, detect_future_of_future, translate_program
-from .values import UNRESOLVED, ObjRef
+from .values import UNRESOLVED, ActRef, ObjRef
 
 AUX_BOUND = 16  # longest silent chain: remote-new registration, ~14 steps
 SYNC_RULES = {
@@ -65,13 +78,17 @@ class SimulationReport:
     outside_fragment: int = 0
     failures: list = field(default_factory=list)
     rows: list = field(default_factory=list)  # matched rule mapping records
-    states: int = 0
-    truncated: bool = False
+    states: int = 0  # distinct pairs counted, the initial one included
+    stop: str = "exhausted"  # or the bound that ended it: "depth" or "width"
     elapsed: float = 0.0
 
     @property
     def ok(self) -> bool:
         return not self.failures
+
+    @property
+    def truncated(self) -> bool:
+        return self.stop == "width"
 
     def to_json(self) -> dict:
         return {
@@ -82,9 +99,53 @@ class SimulationReport:
             "outside_fragment": self.outside_fragment,
             "failures": self.failures,
             "states": self.states,
+            "stop": self.stop,
             "truncated": self.truncated,
             "elapsed_s": round(self.elapsed, 3),
         }
+
+
+def _check(direction, p, depth, width, check_steps) -> SimulationReport:
+    """Search the pairs level by level from the initial one.
+    ``check_steps(report, cn, mcn, ctx)`` checks every step that the
+    driving side can take from a pair and returns the matched successor
+    pairs. Only the level being built is held, and each pair is dropped
+    once it is checked."""
+    t0 = time.monotonic()
+    report = SimulationReport(direction)
+    cn, mcn = abs_initial_config(p), initial_config(translate_program(p))
+    ctx = EquivContext(prefix=_pick_prefix(p))
+    ok, reason, ctx = config_equiv(cn, mcn, ctx, relaxed=direction == "backward")
+    if not ok:
+        side = "abs_rule" if direction == "forward" else "masp_rule"
+        report.failures.append({side: "initial", "found": reason})
+
+    def checked(level):
+        while level:
+            yield from check_steps(report, *level.popleft())
+
+    seen = set()
+    found = [(cn, mcn, ctx)] if ok else []
+    for level_no in range(depth + 1):
+        level = deque()
+        for cn, mcn, ctx in found:
+            key = (abs_digest(cn), masp_digest(mcn))
+            if key in seen:
+                continue
+            seen.add(key)
+            if len(seen) >= width:
+                report.stop = "width"
+                break
+            if level_no == depth:
+                report.stop = "depth"  # counted, not checked
+            else:
+                level.append((cn, mcn, ctx))
+        if report.stop == "width" or not level:
+            break
+        found = checked(level)
+    report.states = len(seen)
+    report.elapsed = time.monotonic() - t0
+    return report
 
 
 def _abs_rule_fragment(config, label) -> str:
@@ -102,8 +163,6 @@ def _abs_rule_fragment(config, label) -> str:
                 return "outside"  # synchronous-call continuation
     if label.rule == "Read-Fut":
         ob = config.objects.get(ObjRef(label.extra[0], label.activity))
-        from .lang.ast_expr import RuntimeVal
-
         if isinstance(ob.active.stmts[0].rhs.expr, RuntimeVal):
             return "outside"  # get injected by a remote synchronous call
     return "in"
@@ -212,96 +271,70 @@ def _match_forward(abs_succ, mcn, enabled, ctx, step_cog, bound):
     return None
 
 
+def _forward_steps(report, cn, mcn, ctx):
+    """Check every cooperative step from the pair; the matched pairs."""
+    matched = []
+    abs_labels = abs_enabled_steps(cn, mode="explore")
+    # the same for every cooperative label: computed once per pair
+    enabled = enabled_steps(mcn, mode="explore") if abs_labels else []
+    base_activities = set(mcn.activities)
+    for label in abs_labels:
+        abs_succ = abs_apply_step(cn, label)
+        report.steps_checked += 1
+        if detect_future_of_future(abs_succ):
+            report.skipped_restriction += 1
+            report.rows.append(
+                {"abs_rule": label.rule, "note": "restriction-3: future of future"}
+            )
+            continue
+        fragment = _abs_rule_fragment(cn, label)
+        bound = 4 if fragment == "outside" else AUX_BOUND
+        hit = None
+        for seq in PRESCRIBED.get(label.rule, ()):
+            got = _try_prescribed(mcn, enabled, seq, label.activity, base_activities)
+            if got is None:
+                continue
+            cand, path = got
+            ok, _, ctx2 = config_equiv(abs_succ, cand, ctx)
+            if ok:
+                hit = (cand, path, ctx2, "prescribed")
+                break
+        if hit is None:
+            got = _match_forward(abs_succ, mcn, enabled, ctx, label.activity, bound)
+            if got is not None:
+                hit = (*got, "bfs")
+        if hit is None:
+            if fragment == "outside":
+                report.outside_fragment += 1
+                report.rows.append(
+                    {"abs_rule": label.rule, "note": "outside-proved-fragment"}
+                )
+                continue
+            report.failures.append(
+                {
+                    "abs_rule": label.rule,
+                    "abs_label": label.key(),
+                    "expected_seq": [list(s) for s in PRESCRIBED.get(label.rule, ())],
+                    "found": "no matching silent sequence",
+                    "abs_digest": abs_digest(cn),
+                    "masp_digest": masp_digest(mcn),
+                }
+            )
+            continue
+        cand, path, ctx2, via = hit
+        report.matched += 1
+        report.rows.append(
+            {"abs_rule": label.rule, "masp_rules": [l.rule for l in path], "via": via}
+        )
+        matched.append((abs_succ, cand, ctx2))
+    return matched
+
+
 def check_forward_simulation(
     p: AbsProgram, depth: int = 30, width: int = 10000
 ) -> SimulationReport:
     """Every explored cooperative step is matched by the translation."""
-    t0 = time.monotonic()
-    report = SimulationReport("forward")
-    mp = translate_program(p)
-    ctx0 = EquivContext(prefix=_pick_prefix(p))
-    cn0 = abs_initial_config(p)
-    mcn0 = initial_config(mp)
-    ok, reason, ctx0 = config_equiv(cn0, mcn0, ctx0)
-    if not ok:
-        report.failures.append({"abs_rule": "initial", "found": reason})
-        report.elapsed = time.monotonic() - t0
-        return report
-    worklist = [(cn0, mcn0, ctx0, depth)]
-    visited = set()
-    while worklist:
-        cn, mcn, ctx, fuel = worklist.pop()
-        key = (abs_digest(cn), masp_digest(mcn))
-        if key in visited:
-            continue
-        visited.add(key)
-        report.states = len(visited)
-        if len(visited) >= width:
-            report.truncated = True
-            break
-        if fuel <= 0:
-            continue
-        abs_labels = abs_enabled_steps(cn, mode="explore")
-        # the same for every cooperative label: computed once per state
-        enabled = enabled_steps(mcn, mode="explore") if abs_labels else []
-        base_activities = set(mcn.activities)
-        for label in abs_labels:
-            abs_succ = abs_apply_step(cn, label)
-            report.steps_checked += 1
-            if detect_future_of_future(abs_succ):
-                report.skipped_restriction += 1
-                report.rows.append(
-                    {"abs_rule": label.rule, "note": "restriction-3: future of future"}
-                )
-                continue
-            fragment = _abs_rule_fragment(cn, label)
-            bound = 4 if fragment == "outside" else AUX_BOUND
-            hit = None
-            for seq in PRESCRIBED.get(label.rule, ()):
-                got = _try_prescribed(mcn, enabled, seq, label.activity, base_activities)
-                if got is None:
-                    continue
-                cand, path = got
-                ok, _, ctx2 = config_equiv(abs_succ, cand, ctx)
-                if ok:
-                    hit = (cand, path, ctx2, "prescribed")
-                    break
-            if hit is None:
-                got = _match_forward(abs_succ, mcn, enabled, ctx, label.activity, bound)
-                if got is not None:
-                    hit = (*got, "bfs")
-            if hit is None:
-                if fragment == "outside":
-                    report.outside_fragment += 1
-                    report.rows.append(
-                        {"abs_rule": label.rule, "note": "outside-proved-fragment"}
-                    )
-                    continue
-                report.failures.append(
-                    {
-                        "abs_rule": label.rule,
-                        "abs_label": label.key(),
-                        "expected_seq": [
-                            list(s) for s in PRESCRIBED.get(label.rule, ())
-                        ],
-                        "found": "no matching silent sequence",
-                        "abs_digest": abs_digest(cn),
-                        "masp_digest": masp_digest(mcn),
-                    }
-                )
-                continue
-            cand, path, ctx2, via = hit
-            report.matched += 1
-            report.rows.append(
-                {
-                    "abs_rule": label.rule,
-                    "masp_rules": [l.rule for l in path],
-                    "via": via,
-                }
-            )
-            worklist.append((abs_succ, cand, ctx2, fuel - 1))
-    report.elapsed = time.monotonic() - t0
-    return report
+    return _check("forward", p, depth, width, _forward_steps)
 
 
 # -- backward direction -----------------------------------------------------------
@@ -317,7 +350,7 @@ def _masp_label_class(mcn, label):
     if rule == "Assign-Local":
         thread = act.current[label.future]
         target = thread.stack[0].stmts[0].target
-        if _is_temp(mcn, target) or len(thread.stack) != 2:
+        if target.startswith("§") or len(thread.stack) != 2:
             return [[]]
         return [["Assign-Local"], []]
     if rule == "Assign-Field":
@@ -360,18 +393,12 @@ def _masp_label_class(mcn, label):
     return [[]]
 
 
-def _is_temp(mcn, name: str) -> bool:
-    return name.startswith("§")
-
-
 def _invoked_method(act, label):
     """Method name of the call the labelled thread is about to make."""
     thread = act.current.get(label.future)
     if thread is None:
         return None
     head = thread.stack[0].stmts[0]
-    from .lang.ast_masp import MAssign, MInvoke
-
     if isinstance(head, MAssign) and isinstance(head.rhs, MInvoke):
         return head.rhs.method
     return None
@@ -379,9 +406,6 @@ def _invoked_method(act, label):
 
 def _names_own_cog(act, thread, cog_arg) -> bool:
     """Does the constructor's cog argument name the current activity?"""
-    from .masp.evalfn import evaluate
-    from .values import ActRef
-
     try:
         v = evaluate(cog_arg, act.store, thread.stack[0].locals)
     except Exception:
@@ -415,8 +439,6 @@ def _masp_step_outside(mcn, label) -> bool:
         return True  # if-statements only arise from sync calls / bool guards
     if label.rule == "Invk-Passive":
         # direct user-method invocation = local synchronous call
-        from .lang.ast_masp import MAssign, MInvoke
-
         if isinstance(head, MAssign) and isinstance(head.rhs, MInvoke):
             m = head.rhs.method
             if m in ("cog", "myId", "get", "retrieve"):
@@ -427,84 +449,57 @@ def _masp_step_outside(mcn, label) -> bool:
     return False
 
 
+def _backward_steps(report, cn, mcn, ctx):
+    """Check every multi-active step from the pair; the matched pairs."""
+    matched = []
+    labels = enabled_steps(mcn, mode="explore")
+    # restriction (4): future values propagate eagerly, in causal order;
+    # explorations that race invocations against updates are excluded
+    updates = [l for l in labels if l.rule == "Update"]
+    if updates:
+        labels = updates[:1]
+    for label in labels:
+        report.steps_checked += 1
+        if _masp_step_outside(mcn, label):
+            report.outside_fragment += 1
+            report.rows.append({"masp_rule": label.rule, "note": "outside-proved-fragment"})
+            continue
+        masp_succ = apply_step(mcn, label)
+        hit = None
+        for rules in _masp_label_class(mcn, label):
+            for cand, path in _abs_candidates(cn, rules):
+                ok, _, ctx2 = config_equiv(cand, masp_succ, ctx, relaxed=True)
+                if ok:
+                    hit = (cand, path, ctx2)
+                    break
+            if hit:
+                break
+        if hit is None:
+            # bounded fallback over short cooperative sequences
+            hit = _backward_bfs(cn, masp_succ, ctx)
+        if hit is None:
+            report.failures.append(
+                {
+                    "masp_rule": label.rule,
+                    "masp_label": label.key(),
+                    "found": "no cooperative response",
+                    "masp_digest": masp_digest(mcn),
+                    "abs_digest": abs_digest(cn),
+                }
+            )
+            continue
+        cand, path, ctx2 = hit
+        report.matched += 1
+        report.rows.append({"masp_rule": label.rule, "abs_rules": [l.rule for l in path]})
+        matched.append((cand, masp_succ, ctx2))
+    return matched
+
+
 def check_backward_simulation(
     p: AbsProgram, depth: int = 30, width: int = 10000
 ) -> SimulationReport:
     """Every step of the translation corresponds to a cooperative execution."""
-    t0 = time.monotonic()
-    report = SimulationReport("backward")
-    mp = translate_program(p)
-    ctx0 = EquivContext(prefix=_pick_prefix(p))
-    cn0 = abs_initial_config(p)
-    mcn0 = initial_config(mp)
-    ok, reason, ctx0 = config_equiv(cn0, mcn0, ctx0, relaxed=True)
-    if not ok:
-        report.failures.append({"masp_rule": "initial", "found": reason})
-        report.elapsed = time.monotonic() - t0
-        return report
-    worklist = [(mcn0, cn0, ctx0, depth)]
-    visited = set()
-    while worklist:
-        mcn, cn, ctx, fuel = worklist.pop()
-        key = (masp_digest(mcn), abs_digest(cn))
-        if key in visited:
-            continue
-        visited.add(key)
-        report.states = len(visited)
-        if len(visited) >= width:
-            report.truncated = True
-            break
-        if fuel <= 0:
-            continue
-        labels = enabled_steps(mcn, mode="explore")
-        # restriction (4): future values propagate eagerly, in causal order;
-        # explorations that race invocations against updates are excluded
-        updates = [l for l in labels if l.rule == "Update"]
-        if updates:
-            labels = updates[:1]
-        for label in labels:
-            report.steps_checked += 1
-            if _masp_step_outside(mcn, label):
-                report.outside_fragment += 1
-                report.rows.append(
-                    {"masp_rule": label.rule, "note": "outside-proved-fragment"}
-                )
-                continue
-            masp_succ = apply_step(mcn, label)
-            hit = None
-            for rules in _masp_label_class(mcn, label):
-                for cand, path in _abs_candidates(cn, rules):
-                    ok, _, ctx2 = config_equiv(cand, masp_succ, ctx, relaxed=True)
-                    if ok:
-                        hit = (cand, path, ctx2, rules)
-                        break
-                if hit:
-                    break
-            if hit is None:
-                # bounded fallback over short cooperative sequences
-                hit = _backward_bfs(cn, masp_succ, ctx)
-            if hit is None:
-                report.failures.append(
-                    {
-                        "masp_rule": label.rule,
-                        "masp_label": label.key(),
-                        "found": "no cooperative response",
-                        "masp_digest": masp_digest(mcn),
-                        "abs_digest": abs_digest(cn),
-                    }
-                )
-                continue
-            cand, path, ctx2, rules = hit
-            report.matched += 1
-            report.rows.append(
-                {
-                    "masp_rule": label.rule,
-                    "abs_rules": [l.rule for l in path],
-                }
-            )
-            worklist.append((masp_succ, cand, ctx2, fuel - 1))
-    report.elapsed = time.monotonic() - t0
-    return report
+    return _check("backward", p, depth, width, _backward_steps)
 
 
 def _backward_bfs(cn, masp_succ, ctx, bound: int = 4):
@@ -521,7 +516,7 @@ def _backward_bfs(cn, masp_succ, ctx, bound: int = 4):
                 seen.add(d)
                 ok, _, ctx2 = config_equiv(succ, masp_succ, ctx, relaxed=True)
                 if ok:
-                    return succ, path + [label], ctx2, [l.rule for l in path] + [label.rule]
+                    return succ, path + [label], ctx2
                 nxt.append((succ, path + [label]))
         frontier = nxt
         if not frontier:

@@ -9,11 +9,19 @@ import json
 
 import pytest
 
+import multiactive.simulate as simulate
+from multiactive.absm.engine import abs_initial_config
+from multiactive.absm.steps import abs_apply_step, abs_enabled_steps
+from multiactive.canon import abs_digest, masp_digest
 from multiactive.lang import parse_abs
+from multiactive.masp.engine import initial_config
+from multiactive.masp.steps import apply_step, enabled_steps
 from multiactive.simulate import (
+    _masp_step_outside,
     check_backward_simulation,
     check_forward_simulation,
 )
+from multiactive.translate import detect_future_of_future, translate_program
 
 from conftest import load_abs
 
@@ -195,6 +203,7 @@ def test_report_json_shape(simple_forward):
         "skipped_restriction",
         "outside_fragment",
         "failures",
+        "stop",
     ):
         assert key in j
 
@@ -203,27 +212,29 @@ def test_report_json_shape(simple_forward):
 # prescribed rows, outside_fragment) at width 10^4, and the SHA-256 of the
 # whole report: to_json() without elapsed_s, plus its rows. A memo that
 # changed which match is found would move the hash even where the counts
-# stay.
+# stay. The rows come in level order, and the counts are those that
+# test_check_reaches_every_state_within_the_depth confirms the search
+# covers.
 PINNED_REPORTS = {
     ("forward", "mapreduce.abs", 16): (
-        (188, 407, 407, 273, 0),
-        "c0437d806b4358672be629db5fbb6c72f1abada3f454f04a808e09718bc7af46",
+        (188, 419, 419, 281, 0),
+        "e31d4bd7cf85065a433040a0df04180bc901ef8897adc92db38875afa900bb86",
     ),
     ("backward", "mapreduce.abs", 20): (
         (398, 579, 579, 0, 0),
-        "a6a9cd0c78626592122596e749a0d805c3e3f873d1a034013a14d5d171ab1932",
+        "bf73c9737a744d21532c815d457380d4de415aa2e5f3a64fffae72d9b3ec3e5a",
     ),
     ("forward", "chat.abs", 10): (
         (19, 21, 21, 5, 0),
-        "1de8f831049918523c3598b0e4768825bef5363743b57d538b28f3fa7f39b69e",
+        "06de37d911093118fb25f7e9b8a9336c538406fea43ab84213066b9ca29e0d52",
     ),
     ("backward", "chat.abs", 16): (
         (165, 221, 221, 0, 0),
-        "2797df65d696da5c05a7111a86c1dec5d1d3e99297c6d3176f77c56f4ae692f8",
+        "9dfb19b6f78efb0e7338bf15ff596618e67f5b1baf00a5b2d611f87a7c0c50d8",
     ),
     ("forward", "bank_account.abs", 30): (
         (53, 96, 88, 53, 8),
-        "4bfb5a370b7f80bffc4128e079d0b0c870e7adb3ead5f242e9efa1d21fcd0360",
+        "bb8fef4b3b50da4031a64b89551da5ebf0cf1bab9becd777b9e642367efe55a0",
     ),
 }
 
@@ -254,4 +265,89 @@ def test_simulation_reports_are_pinned(case):
         got = (rep.states, rep.steps_checked, rep.matched, prescribed, rep.outside_fragment)
         assert got == counts
         assert report_sha256(rep) == sha
-        assert rep.failures == [] and not rep.truncated and rep.skipped_restriction == 0
+        assert rep.failures == [] and rep.skipped_restriction == 0
+        assert rep.stop == ("exhausted" if name == "bank_account.abs" else "depth")
+
+
+def _reference_states(cfg, depth, successors, digest):
+    """Digests of the states within ``depth`` steps of ``cfg``, by a
+    plain breadth-first search over one calculus."""
+    seen = {digest(cfg)}
+    level = [cfg]
+    for _ in range(depth):
+        nxt = []
+        for c in level:
+            for succ in successors(c):
+                d = digest(succ)
+                if d not in seen:
+                    seen.add(d)
+                    nxt.append(succ)
+        level = nxt
+    return seen
+
+
+def _abs_successors(cfg):
+    """Cooperative steps the forward check follows: a successor holding a
+    future of a future is skipped (restriction 3)."""
+    for label in abs_enabled_steps(cfg, mode="explore"):
+        succ = abs_apply_step(cfg, label)
+        if not detect_future_of_future(succ):
+            yield succ
+
+
+def _masp_successors(cfg):
+    """Multi-active steps the backward check follows: the first update
+    alone when one is enabled, and no step outside the proved fragment."""
+    labels = enabled_steps(cfg, mode="explore")
+    updates = [l for l in labels if l.rule == "Update"]
+    for label in updates[:1] or labels:
+        if not _masp_step_outside(cfg, label):
+            yield apply_step(cfg, label)
+
+
+# (direction, program, depth) -> states of the driving side within the
+# depth: the pinned reports without steps outside the proved fragment,
+# and two deeper cases
+REFERENCE_STATES = {
+    ("forward", "mapreduce.abs", 16): 169,
+    ("backward", "mapreduce.abs", 20): 398,
+    ("forward", "chat.abs", 10): 19,
+    ("backward", "chat.abs", 16): 165,
+    ("forward", "mapreduce.abs", 24): 609,
+    ("backward", "bank_account.abs", 30): 2802,
+}
+
+
+@pytest.mark.parametrize(
+    "direction, name, depth, states",
+    [(*case, n) for case, n in REFERENCE_STATES.items()],
+    ids=[f"{d}-{n}-d{k}" for d, n, k in REFERENCE_STATES],
+)
+def test_check_reaches_every_state_within_the_depth(direction, name, depth, states, monkeypatch):
+    """The driving side's states in the checked pairs are exactly those a
+    reference search reaches within the depth, pruned the same way: a
+    pair first reached by a long path is still checked when a shorter
+    path reaches it later."""
+    program = load_abs(name)
+    if direction == "forward":
+        expected = _reference_states(
+            abs_initial_config(program), depth, _abs_successors, abs_digest
+        )
+        digest, check = abs_digest, check_forward_simulation
+    else:
+        expected = _reference_states(
+            initial_config(translate_program(program)), depth, _masp_successors, masp_digest
+        )
+        digest, check = masp_digest, check_backward_simulation
+    reached = set()
+
+    def recorded(cfg):
+        d = digest(cfg)
+        reached.add(d)
+        return d
+
+    monkeypatch.setattr(simulate, digest.__name__, recorded)
+    rep = check(program, depth, 10_000)
+    assert rep.failures == [] and rep.outside_fragment == 0 and rep.stop == "depth"
+    assert len(expected) == states
+    assert reached == expected

@@ -103,7 +103,10 @@ def test_cli_check_sim_text_shows_states_and_truncation(capsys):
     assert cli(["check-sim", target, "--depth", "3", "--direction", "forward"]) == 0
     (line,) = capsys.readouterr().out.splitlines()
     assert "truncated" not in line
-    assert "states " in line
+    assert "states " in line and line.endswith(", cut at depth 3")
+    assert cli(["check-sim", target, "--direction", "forward"]) == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    assert line.endswith("states 53")  # exhausted within the default bounds
 
 
 def test_cli_check_sim_fails_when_the_width_leaves_nothing_checked(capsys):
@@ -113,6 +116,14 @@ def test_cli_check_sim_fails_when_the_width_leaves_nothing_checked(capsys):
     assert capsys.readouterr().err.splitlines() == [
         "check-sim: the width cut backward before its first step"
     ]
+    # the depth bound likewise: --depth 0 checks no pair's steps
+    assert cli(["check-sim", target, "--depth", "0"]) == 1
+    out = capsys.readouterr()
+    assert out.err.splitlines() == [
+        "check-sim: the depth cut forward before its first step",
+        "check-sim: the depth cut backward before its first step",
+    ]
+    assert all(line.endswith("states 1, cut at depth 0") for line in out.out.splitlines())
     # cut after its first step, a direction still checked something
     assert cli(["check-sim", target, "--width", "2", "--direction", "forward"]) == 0
     out = capsys.readouterr()
