@@ -6,6 +6,11 @@ takes the queue head, while interrupted processes re-enter the queue at
 a nondeterministic position (every position in `explore` mode, the tail
 in `run` mode).
 
+Enumeration defines when a rule is enabled. Every handler first checks
+that its label is one that `_object_labels` gives the object the label
+names, in `explore` mode (a superset of `run` mode's), and then only
+rewrites, so `abs_apply_step` rejects any other label with `EngineFault`.
+
 The rules that rewrite only one object (`_LOCAL`) are memoized on it
 (`_next`, through `steplabel.memo_step`), with the configuration cells
 they read and write: a cog's running object for `Activate`, a future for
@@ -32,7 +37,7 @@ from ..lang.ast_abs import (
     GBool,
     GFut,
 )
-from ..lang.ast_expr import RuntimeVal
+from ..lang.ast_expr import RuntimeVal, Var
 from ..steplabel import ABSENT, Label, memo_step
 from ..values import (
     UNDEFINED,
@@ -64,27 +69,25 @@ def abs_enabled_steps(config: AbsConfig, mode: str = "explore") -> list:
     for o in config.objects.values():
         by_cog.setdefault(o.name.cog, []).append(o)
     labels = []
-    for cog, active_name in config.cogs.items():
-        members = sorted(by_cog.get(cog, ()), key=lambda o: o.name.ident)
-        for ob in members:
-            if ob.active is not None and active_name == ob.name:
-                labels.extend(_process_labels(config, ob, mode))
-            if ob.active is None:
-                if active_name == ob.name:
-                    labels.append(
-                        Label("Release-Cog", cog, None, (ob.name.ident,))
-                    )
-                if active_name is None and ob.queue:
-                    dest = ob.queue[0].locals.get("destiny")
-                    labels.append(
-                        Label(
-                            "Activate",
-                            cog,
-                            dest.name if isinstance(dest, FutRef) else None,
-                            (ob.name.ident,),
-                        )
-                    )
+    for cog in config.cogs:
+        for ob in sorted(by_cog.get(cog, ()), key=lambda o: o.name.ident):
+            labels.extend(_object_labels(config, ob, mode))
     return labels
+
+
+def _object_labels(config, ob, mode) -> list:
+    """The labels whose first ``extra`` item names ``ob``: its running
+    process's, `Release-Cog` once that process is gone, or `Activate`
+    while its cog is free. Every rule's handler takes only these."""
+    running = config.cogs.get(ob.name.cog, ABSENT)
+    ident = (ob.name.ident,)
+    if running == ob.name:
+        if ob.active is not None:
+            return _process_labels(config, ob, mode)
+        return [Label("Release-Cog", ob.name.cog, None, ident)]
+    if running is None and ob.active is None and ob.queue:
+        return [Label("Activate", ob.name.cog, _dest(ob.queue[0]), ident)]
+    return []
 
 
 def _dest(proc) -> Optional[str]:
@@ -144,7 +147,7 @@ def _await_labels(config, ob, proc, mode) -> list:
         return []
     if isinstance(first, (GFut, RGFut)):
         if isinstance(first, GFut):
-            f = abs_evaluate(_var(first.var), ob.fields, proc.locals)
+            f = abs_evaluate(Var(first.var), ob.fields, proc.locals)
         else:
             f = first.value
         if not isinstance(f, FutRef):
@@ -154,12 +157,6 @@ def _await_labels(config, ob, proc, mode) -> list:
             return [Label("Await-True", cog, dest, ident)]
         return _insertion_labels(config, ob, "Await-False", mode)
     raise EngineFault(f"unknown guard {first!r}")
-
-
-def _var(name):
-    from ..lang.ast_expr import Var
-
-    return Var(name)
 
 
 def _return_labels(config, ob, proc) -> list:
@@ -270,9 +267,8 @@ def abs_apply_step(config: AbsConfig, label: Label) -> AbsConfig:
     handler = _RULES.get(label.rule)
     if handler is None:
         raise EngineFault(f"unknown rule {label.rule}")
-    _expect(len(label.extra) == _EXTRA.get(label.rule, 1), label)
     if label.rule in _LOCAL:
-        ob = config.objects.get(ObjRef(label.extra[0], label.activity))
+        ob = _named(config, label)
         if ob is not None:
             return memo_step(config, ob, label, handler, _outcome, AbsConfig.with_object)
     return handler(config, label)
@@ -312,20 +308,24 @@ def _read_future(ob):
         return None
     if isinstance(first, RGFut):
         return first.value
-    return abs_evaluate(_var(first.var), ob.fields, ob.active.locals)
+    return abs_evaluate(Var(first.var), ob.fields, ob.active.locals)
+
+
+def _named(config, label) -> Optional[Ob]:
+    """The object that a label's first ``extra`` item names, if any."""
+    if not label.extra:
+        return None
+    return config.objects.get(ObjRef(label.extra[0], label.activity))
 
 
 def _ob(config, label) -> Ob:
-    ident = label.extra[0]
-    ob = config.objects.get(ObjRef(ident, label.activity))
-    if ob is None or ob.active is None:
+    """The object a label names, which must offer the label in ``explore``
+    mode (whose labels include ``run`` mode's); its handler then only
+    rewrites."""
+    ob = _named(config, label)
+    if ob is None or label not in _object_labels(config, ob, "explore"):
         raise EngineFault(f"step not enabled: {label.key()}")
     return ob
-
-
-def _expect(cond, label):
-    if not cond:
-        raise EngineFault(f"step not enabled: {label.key()}")
 
 
 def _pop(proc) -> Process:
@@ -334,18 +334,13 @@ def _pop(proc) -> Process:
 
 def _apply_skip(config, label):
     ob = _ob(config, label)
-    _expect(isinstance(ob.active.stmts[0], ASkip), label)
     return config.with_object(ob.update(active=_pop(ob.active)))
 
 
 def _apply_cond(config, label):
     ob = _ob(config, label)
     head = ob.active.stmts[0]
-    _expect(isinstance(head, AIf), label)
-    v = abs_evaluate(head.cond, ob.fields, ob.active.locals)
-    want = label.rule == "Cond-True"
-    _expect(v is want, label)
-    branch = head.then if want else head.els
+    branch = head.then if label.rule == "Cond-True" else head.els
     stmts = tuple(aseq_list(branch)) + ob.active.stmts[1:]
     return config.with_object(ob.update(active=ob.active.with_stmts(stmts)))
 
@@ -353,9 +348,7 @@ def _apply_cond(config, label):
 def _apply_assign_local(config, label):
     ob = _ob(config, label)
     head = ob.active.stmts[0]
-    _expect(isinstance(head, AAssign) and head.target in ob.active.locals, label)
     v = abs_evaluate(head.rhs, ob.fields, ob.active.locals)
-    _expect(v is not UNDEFINED, label)
     proc = Process({**ob.active.locals, head.target: v}, ob.active.stmts[1:])
     return config.with_object(ob.update(active=proc))
 
@@ -363,14 +356,7 @@ def _apply_assign_local(config, label):
 def _apply_assign_field(config, label):
     ob = _ob(config, label)
     head = ob.active.stmts[0]
-    _expect(
-        isinstance(head, AAssign)
-        and head.target not in ob.active.locals
-        and head.target in ob.fields,
-        label,
-    )
     v = abs_evaluate(head.rhs, ob.fields, ob.active.locals)
-    _expect(v is not UNDEFINED, label)
     fields = dict(ob.fields)
     fields[head.target] = v
     return config.with_object(ob.update(fields=fields, active=_pop(ob.active)))
@@ -378,16 +364,7 @@ def _apply_assign_field(config, label):
 
 def _apply_await_true(config, label):
     ob = _ob(config, label)
-    head = ob.active.stmts[0]
-    _expect(isinstance(head, AAwait), label)
-    first, rest = split_guard(head.guard)
-    if isinstance(first, GBool):
-        v = abs_evaluate(first.expr, ob.fields, ob.active.locals)
-        _expect(v is True, label)
-    else:
-        f = _read_future(ob)
-        _expect(isinstance(f, FutRef), label)
-        _expect(config.futures.get(f.name, UNRESOLVED) is not UNRESOLVED, label)
+    _, rest = split_guard(ob.active.stmts[0].guard)
     stmts = ob.active.stmts[1:]
     if rest is not None:
         stmts = (AAwait(rest),) + stmts
@@ -400,46 +377,25 @@ def _schedule(queue, proc, pos) -> tuple:
 
 def _apply_await_false(config, label):
     ob = _ob(config, label)
-    head = ob.active.stmts[0]
-    _expect(isinstance(head, AAwait), label)
-    first, _ = split_guard(head.guard)
-    if isinstance(first, GBool):
-        v = abs_evaluate(first.expr, ob.fields, ob.active.locals)
-        _expect(v is False, label)
-    else:
-        f = _read_future(ob)
-        _expect(isinstance(f, FutRef), label)
-        _expect(config.futures.get(f.name, UNRESOLVED) is UNRESOLVED, label)
-    pos = label.extra[1]
-    _expect(0 <= pos <= len(ob.queue), label)
-    queue = _schedule(ob.queue, ob.active, pos)
+    queue = _schedule(ob.queue, ob.active, label.extra[1])
     return config.with_object(ob.update(active=None, queue=queue))
 
 
 def _apply_suspend(config, label):
     ob = _ob(config, label)
-    _expect(isinstance(ob.active.stmts[0], ASuspend), label)
-    pos = label.extra[1]
-    _expect(0 <= pos <= len(ob.queue), label)
-    queue = _schedule(ob.queue, _pop(ob.active), pos)
+    queue = _schedule(ob.queue, _pop(ob.active), label.extra[1])
     return config.with_object(ob.update(active=None, queue=queue))
 
 
 def _apply_release_cog(config, label):
-    ident = label.extra[0]
-    ob = config.objects.get(ObjRef(ident, label.activity))
-    _expect(ob is not None and ob.active is None, label)
-    _expect(config.cogs.get(label.activity) == ob.name, label)
+    _ob(config, label)
     cogs = dict(config.cogs)
     cogs[label.activity] = None
     return config.update(cogs=cogs)
 
 
 def _apply_activate(config, label):
-    ident = label.extra[0]
-    ob = config.objects.get(ObjRef(ident, label.activity))
-    _expect(ob is not None and ob.active is None and ob.queue, label)
-    _expect(config.cogs.get(label.activity) is None, label)
+    ob = _ob(config, label)
     proc, rest = ob.queue[0], ob.queue[1:]
     cogs = dict(config.cogs)
     cogs[label.activity] = ob.name
@@ -449,11 +405,7 @@ def _apply_activate(config, label):
 def _apply_read_fut(config, label):
     ob = _ob(config, label)
     head = ob.active.stmts[0]
-    _expect(isinstance(head, AAssign) and isinstance(head.rhs, AGet), label)
-    f = _read_future(ob)
-    _expect(isinstance(f, FutRef), label)
-    v = config.futures.get(f.name, UNRESOLVED)
-    _expect(v is not UNRESOLVED, label)
+    v = config.futures[_read_future(ob).name]
     stmts = (AAssign(head.target, RuntimeVal(v)),) + ob.active.stmts[1:]
     return config.with_object(ob.update(active=ob.active.with_stmts(stmts)))
 
@@ -461,14 +413,9 @@ def _apply_read_fut(config, label):
 def _apply_new_object(config, label):
     ob = _ob(config, label)
     head = ob.active.stmts[0]
-    _expect(isinstance(head, AAssign) and isinstance(head.rhs, ANew), label)
-    _expect(head.rhs.local, label)
     cog = label.activity
-    _expect(config.cogs.get(cog) == ob.name, label)
     cls = config.program.cls(head.rhs.cls)
-    _expect(cls is not None, label)
     args = abs_evaluate_list(head.rhs.args, ob.fields, ob.active.locals)
-    _expect(args is not None and len(args) == len(cls.fields), label)
     counters = dict(config.id_counters)
     ident = counters.get(cog, 1)
     counters[cog] = ident + 1
@@ -484,12 +431,8 @@ def _apply_new_object(config, label):
 def _apply_new_cog_object(config, label):
     ob = _ob(config, label)
     head = ob.active.stmts[0]
-    _expect(isinstance(head, AAssign) and isinstance(head.rhs, ANew), label)
-    _expect(not head.rhs.local, label)
     cls = config.program.cls(head.rhs.cls)
-    _expect(cls is not None, label)
     args = abs_evaluate_list(head.rhs.args, ob.fields, ob.active.locals)
-    _expect(args is not None and len(args) == len(cls.fields), label)
     new_cog = f"a{config.cog_counter}"
     counters = dict(config.id_counters)
     ident = counters.get(new_cog, 1)
@@ -507,18 +450,21 @@ def _apply_new_cog_object(config, label):
     )
 
 
+def _call_parts(config, ob):
+    """A call's head statement, its target, a fresh future, and the
+    target's method bound with that future as its destiny."""
+    head = ob.active.stmts[0]
+    target = abs_evaluate(head.rhs.target, ob.fields, ob.active.locals)
+    args = abs_evaluate_list(head.rhs.args, ob.fields, ob.active.locals)
+    fut = f"f{config.fut_counter}"
+    cls = config.objects[target].cls
+    bound = abs_bind(config.program, target, cls, fut, head.rhs.method, args)
+    return head, target, fut, bound
+
+
 def _apply_rendez_vous(config, label):
     ob = _ob(config, label)
-    head = ob.active.stmts[0]
-    _expect(isinstance(head, AAssign) and isinstance(head.rhs, AAsync), label)
-    target = abs_evaluate(head.rhs.target, ob.fields, ob.active.locals)
-    _expect(isinstance(target, ObjRef) and target in config.objects, label)
-    args = abs_evaluate_list(head.rhs.args, ob.fields, ob.active.locals)
-    _expect(args is not None, label)
-    fut = f"f{config.fut_counter}"
-    callee = config.objects[target]
-    bound = abs_bind(config.program, target, callee.cls, fut, head.rhs.method, args)
-    _expect(bound is not None, label)
+    head, target, fut, bound = _call_parts(config, ob)
     stmts = (AAssign(head.target, RuntimeVal(FutRef(fut))),) + ob.active.stmts[1:]
     caller = ob.update(active=ob.active.with_stmts(stmts))
     callee = caller if target == ob.name else config.objects[target]
@@ -532,19 +478,7 @@ def _apply_rendez_vous(config, label):
 
 def _apply_cog_sync_call(config, label):
     ob = _ob(config, label)
-    head = ob.active.stmts[0]
-    _expect(isinstance(head, AAssign) and isinstance(head.rhs, ASync), label)
-    target = abs_evaluate(head.rhs.target, ob.fields, ob.active.locals)
-    _expect(isinstance(target, ObjRef) and target in config.objects, label)
-    _expect(target != ob.name and target.cog == ob.name.cog, label)
-    _expect(target.ident == label.extra[1], label)
-    callee = config.objects[target]
-    _expect(callee.active is None, label)
-    _expect(config.cogs.get(label.activity) == ob.name, label)
-    args = abs_evaluate_list(head.rhs.args, ob.fields, ob.active.locals)
-    fut = f"f{config.fut_counter}"
-    bound = abs_bind(config.program, target, callee.cls, fut, head.rhs.method, args)
-    _expect(bound is not None, label)
+    head, target, fut, bound = _call_parts(config, ob)
     bound = bound.with_local("cont", ob.active.locals["destiny"])
     cont_stmts = (
         AAwait(RGFut(FutRef(fut))),
@@ -556,7 +490,7 @@ def _apply_cog_sync_call(config, label):
     cogs[label.activity] = target
     futures = dict(config.futures)
     futures[fut] = UNRESOLVED
-    callee = callee.update(active=bound)
+    callee = config.objects[target].update(active=bound)
     return config.with_object(
         caller, callee, cogs=cogs, futures=futures, fut_counter=config.fut_counter + 1
     )
@@ -564,14 +498,7 @@ def _apply_cog_sync_call(config, label):
 
 def _apply_self_sync_call(config, label):
     ob = _ob(config, label)
-    head = ob.active.stmts[0]
-    _expect(isinstance(head, AAssign) and isinstance(head.rhs, ASync), label)
-    target = abs_evaluate(head.rhs.target, ob.fields, ob.active.locals)
-    _expect(target == ob.name, label)
-    args = abs_evaluate_list(head.rhs.args, ob.fields, ob.active.locals)
-    fut = f"f{config.fut_counter}"
-    bound = abs_bind(config.program, target, ob.cls, fut, head.rhs.method, args)
-    _expect(bound is not None, label)
+    head, _, fut, bound = _call_parts(config, ob)
     bound = bound.with_local("cont", ob.active.locals["destiny"])
     cont_stmts = (
         AAwait(RGFut(FutRef(fut))),
@@ -586,86 +513,54 @@ def _apply_self_sync_call(config, label):
 
 def _apply_rem_sync_call(config, label):
     ob = _ob(config, label)
-    head = ob.active.stmts[0]
-    _expect(isinstance(head, AAssign) and isinstance(head.rhs, ASync), label)
-    target = abs_evaluate(head.rhs.target, ob.fields, ob.active.locals)
-    _expect(isinstance(target, ObjRef) and target in config.objects, label)
-    _expect(target.cog != ob.name.cog, label)
-    args = abs_evaluate_list(head.rhs.args, ob.fields, ob.active.locals)
-    fut = f"f{config.fut_counter}"
-    callee = config.objects[target]
-    bound = abs_bind(config.program, target, callee.cls, fut, head.rhs.method, args)
-    _expect(bound is not None, label)
+    head, target, fut, bound = _call_parts(config, ob)
     stmts = (
         AAssign(head.target, AGet(RuntimeVal(FutRef(fut)))),
     ) + ob.active.stmts[1:]
     caller = ob.update(active=ob.active.with_stmts(stmts))
     futures = dict(config.futures)
     futures[fut] = UNRESOLVED
+    callee = config.objects[target]
     callee = callee.update(queue=callee.queue + (bound,))
     return config.with_object(
         caller, callee, futures=futures, fut_counter=config.fut_counter + 1
     )
 
 
-def _apply_return(config, label):
-    ob = _ob(config, label)
-    head = ob.active.stmts[0]
-    _expect(isinstance(head, AReturn), label)
-    _expect("cont" not in ob.active.locals, label)
-    v = abs_evaluate(head.expr, ob.fields, ob.active.locals)
-    _expect(v is not UNDEFINED, label)
-    dest = ob.active.locals.get("destiny")
-    _expect(isinstance(dest, FutRef), label)
-    _expect(config.futures.get(dest.name, None) is UNRESOLVED, label)
-    futures = dict(config.futures)
-    futures[dest.name] = v
-    return config.with_object(ob.update(active=None), futures=futures)
-
-
 def _resolve_destiny(config, ob):
-    """Shared tail of the sync-return rules: resolve the callee's future."""
+    """Shared tail of the return rules: resolve the returning process's
+    future to the value it returns."""
     proc = ob.active
     v = abs_evaluate(proc.stmts[0].expr, ob.fields, proc.locals)
-    dest = proc.locals["destiny"]
     futures = dict(config.futures)
-    futures[dest.name] = v
+    futures[proc.locals["destiny"].name] = v
     return futures
+
+
+def _apply_return(config, label):
+    ob = _ob(config, label)
+    futures = _resolve_destiny(config, ob)
+    return config.with_object(ob.update(active=None), futures=futures)
 
 
 def _apply_self_sync_return(config, label):
     ob = _ob(config, label)
-    head = ob.active.stmts[0]
-    _expect(isinstance(head, AReturn), label)
-    cont = ob.active.locals.get("cont")
-    _expect(isinstance(cont, FutRef), label)
     pos = label.extra[1]
-    _expect(pos < len(ob.queue), label)
-    proc = ob.queue[pos]
-    _expect(proc.locals.get("destiny") == cont, label)
     futures = _resolve_destiny(config, ob)
     queue = ob.queue[:pos] + ob.queue[pos + 1 :]
-    return config.with_object(ob.update(active=proc, queue=queue), futures=futures)
+    ob = ob.update(active=ob.queue[pos], queue=queue)
+    return config.with_object(ob, futures=futures)
 
 
 def _apply_cog_sync_return(config, label):
     ob = _ob(config, label)
-    head = ob.active.stmts[0]
-    _expect(isinstance(head, AReturn), label)
-    cont = ob.active.locals.get("cont")
-    _expect(isinstance(cont, FutRef), label)
-    other_ident, pos = label.extra[1], label.extra[2]
-    other = config.objects.get(ObjRef(other_ident, label.activity))
-    _expect(other is not None and other.active is None, label)
-    _expect(pos < len(other.queue), label)
-    proc = other.queue[pos]
-    _expect(proc.locals.get("destiny") == cont, label)
-    _expect(config.cogs.get(label.activity) == ob.name, label)
+    other = config.objects[ObjRef(label.extra[1], label.activity)]
+    pos = label.extra[2]
     futures = _resolve_destiny(config, ob)
     queue = other.queue[:pos] + other.queue[pos + 1 :]
     cogs = dict(config.cogs)
     cogs[label.activity] = other.name
-    other = other.update(active=proc, queue=queue)
+    other = other.update(active=other.queue[pos], queue=queue)
     return config.with_object(ob.update(active=None), other, futures=futures, cogs=cogs)
 
 
@@ -691,13 +586,6 @@ _RULES = {
     "Self-Sync-Return-Sched": _apply_self_sync_return,
     "Cog-Sync-Return-Sched": _apply_cog_sync_return,
 }
-
-# how many items a rule's label carries in ``extra``: the object's id,
-# then a position in its queue, or the callee's id (`Cog-Sync-Call`), or
-# another object's id and a position in that object's queue; the rules
-# not named carry only the id
-_EXTRA = {"Await-False": 2, "Suspend": 2, "Cog-Sync-Call": 2,
-          "Self-Sync-Return-Sched": 2, "Cog-Sync-Return-Sched": 3}
 
 # the rules that rewrite only their own object, so `abs_apply_step`
 # memoizes them on it: the first six read nothing else; `Activate` reads

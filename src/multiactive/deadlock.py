@@ -20,6 +20,7 @@ from .policy import (
     _group_limit_ok,
     _pool_ok,
     _reservation_ok,
+    activate_admissible,
     compatible,
     ready,
 )
@@ -98,8 +99,6 @@ def diagnose_deadlock(config: MaspConfig) -> Diagnosis:
             blocking = _blocking_future(act, thread)
             if thread.state == "P":
                 # passivated and never admissible again, or waiting forever
-                from .policy import activate_admissible
-
                 if not activate_admissible(act, fut):
                     diag.classifications.append(
                         {

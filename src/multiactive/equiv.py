@@ -56,6 +56,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import NamedTuple
 
+from .absm.evalfn import abs_evaluate
 from .absm.runtime import AbsConfig, Ob, Process, RGFut
 from .lang.ast_abs import AAssign, AAwait, AReturn, GFut
 from .lang.ast_expr import Lit, MethodLit, RuntimeVal, node_fields
@@ -64,6 +65,7 @@ from .masp.evalfn import chase, evaluate
 from .masp.runtime import MaspConfig, MHole, Obj, bind
 from .translate import TranslationContext, translate_statement
 from .values import (
+    UNDEFINED,
     UNRESOLVED,
     ActRef,
     FutRef,
@@ -550,9 +552,6 @@ def _plumb_frame(frame) -> bool:
 
 
 def _epilogue_equiv(proc, frame, act, ob, cn, ctx) -> bool:
-    from .absm.evalfn import abs_evaluate
-    from .values import UNDEFINED
-
     v = abs_evaluate(proc.stmts[0].expr, ob.fields, proc.locals)
     if v is UNDEFINED:
         return False

@@ -4,6 +4,12 @@
 applies one. Each rule rewrites only the activities and futures it
 mentions, leaving the rest of the configuration shared.
 
+Enumeration defines when a thread rule is enabled: its handler checks
+that the label is the one `_thread_label` gives the thread, then only
+rewrites, so `apply_step` rejects any other label with `EngineFault`.
+`Serve`, `Activate-Thread` and `Update` check their premises themselves,
+since the labels memoized for an activity belong to the last mode asked.
+
 Every rule but `Update` reads only its own activity and the program, so
 each `Activity` memoizes its own labels and future cells (`_labels`);
 a state adds only the `Update` labels that its futures allow.
@@ -39,6 +45,7 @@ from ..lang.ast_masp import (
     mseq_list,
 )
 from ..policy import (
+    UNGROUND,
     activate_admissible,
     priority_filter,
     resolve_policy,
@@ -85,8 +92,6 @@ def _grounder(store):
 def native_ready(activity, method: str, args: tuple) -> bool:
     """Natives need their identifier arguments grounded before they bind."""
     g = _grounder(activity.store)
-    from ..policy import UNGROUND
-
     if method == "register":
         return len(args) == 2 and g(args[1]) is not UNGROUND
     if method == "retrieve":
@@ -328,7 +333,6 @@ def apply_step(config: MaspConfig, label: Label) -> MaspConfig:
     handler = _RULES.get(label.rule)
     if handler is None:
         raise EngineFault(f"unknown rule {label.rule}")
-    _expect(len(label.extra) == _EXTRA.get(label.rule, 0), label)
     if label.rule in _LOCAL:
         act = config.activities.get(label.activity)
         if act is not None:
@@ -375,6 +379,19 @@ def _expect(cond, label):
         raise EngineFault(f"step not enabled: {label.key()}")
 
 
+def _enabled_thread(config, label) -> tuple:
+    """The activity and active thread of a thread rule's label, which must
+    be the label `_thread_label` gives that thread; its handler then only
+    rewrites."""
+    act = _activity(config, label)
+    th = _thread(act, label)
+    _expect(
+        th.state == "A" and _thread_label(config, act, label.future, th) == label,
+        label,
+    )
+    return act, th
+
+
 def _set_thread(act, thread, **kw) -> Activity:
     """The activity with ``thread`` put in place and ``kw`` changed."""
     cur = dict(act.current)
@@ -396,8 +413,8 @@ def _replace_head(thread, *stmts) -> Thread:
 
 def _apply_serve(config, label):
     act = _activity(config, label)
+    _expect(len(label.extra) == 1 and 0 <= label.extra[0] < len(act.queue), label)
     (idx,) = label.extra
-    _expect(idx < len(act.queue), label)
     q = act.queue[idx]
     _expect(q.future == label.future, label)
     _expect(_serve_possible(config, act, q), label)
@@ -405,10 +422,8 @@ def _apply_serve(config, label):
     updates = {}
     if is_native(act.cls, q.method):
         frame, updates = _native_bind(act, act.active_loc, q.method, q.args)
-        _expect(frame is not None, label)
     else:
         frame = bind(config.program, act.active_loc, act.cls, q.method, q.args)
-        _expect(frame is not None, label)
     thread = Thread(q, "A", (frame,))
     cur = dict(act.current)
     cur[q.future] = thread
@@ -419,62 +434,44 @@ def _apply_serve(config, label):
 
 
 def _apply_skip(config, label):
-    act = _activity(config, label)
-    th = _thread(act, label)
-    _expect(isinstance(th.stack[0].stmts[0], MSkip), label)
+    act, th = _enabled_thread(config, label)
     return config.with_activity(_set_thread(act, _pop_head(th)))
 
 
 def _apply_set_limit(config, label):
-    act = _activity(config, label)
-    th = _thread(act, label)
-    head = th.stack[0].stmts[0]
-    _expect(isinstance(head, MSetLimit), label)
+    act, th = _enabled_thread(config, label)
     kind = "H" if label.rule == "Set-Hard-Limit" else "S"
-    _expect(head.kind == kind, label)
     act2 = _set_thread(act, _pop_head(th), limit=kind)
     return config.with_activity(act2)
 
 
 def _apply_cond(config, label):
-    act = _activity(config, label)
-    th = _thread(act, label)
+    act, th = _enabled_thread(config, label)
     frame = th.stack[0]
     head = frame.stmts[0]
-    _expect(isinstance(head, MIf), label)
-    v = evaluate(head.cond, act.store, frame.locals)
-    want = label.rule == "Cond-True"
-    _expect(v is want, label)
-    branch = head.then if want else head.els
+    branch = head.then if label.rule == "Cond-True" else head.els
     stmts = tuple(mseq_list(branch)) + frame.stmts[1:]
     th2 = Thread(th.request, th.state, (frame.with_stmts(stmts),) + th.stack[1:])
     return config.with_activity(_set_thread(act, th2))
 
 
 def _apply_assign_local(config, label):
-    act = _activity(config, label)
-    th = _thread(act, label)
+    act, th = _enabled_thread(config, label)
     frame = th.stack[0]
     head = frame.stmts[0]
-    _expect(isinstance(head, MAssign) and head.target in frame.locals, label)
     v = evaluate(head.rhs, act.store, frame.locals)
-    _expect(v is not UNDEFINED, label)
     new_frame = Frame({**frame.locals, head.target: v}, frame.stmts[1:])
     th2 = Thread(th.request, th.state, (new_frame,) + th.stack[1:])
     return config.with_activity(_set_thread(act, th2))
 
 
 def _apply_assign_field(config, label):
-    act = _activity(config, label)
-    th = _thread(act, label)
+    act, th = _enabled_thread(config, label)
     frame = th.stack[0]
     head = frame.stmts[0]
-    _expect(isinstance(head, MAssign) and head.target not in frame.locals, label)
     this_loc = frame.locals.get("this")
     obj = act.store.get(this_loc)
-    _expect(isinstance(obj, Obj) and head.target in obj.fields, label)
     v = evaluate(head.rhs, act.store, frame.locals)
-    _expect(v is not UNDEFINED, label)
     store = dict(act.store)
     store[this_loc] = obj.with_field(head.target, v)
     act2 = _set_thread(act, _pop_head(th), store=store)
@@ -482,15 +479,11 @@ def _apply_assign_field(config, label):
 
 
 def _apply_new_object(config, label):
-    act = _activity(config, label)
-    th = _thread(act, label)
+    act, th = _enabled_thread(config, label)
     frame = th.stack[0]
     head = frame.stmts[0]
-    _expect(isinstance(head, MAssign) and isinstance(head.rhs, MNew), label)
     cls = config.program.cls(head.rhs.cls)
-    _expect(cls is not None, label)
     args = evaluate_list(head.rhs.args, act.store, frame.locals)
-    _expect(args is not None and len(args) == len(cls.fields), label)
     loc = Loc(act.loc_counter + 1)
     store = dict(act.store)
     store[loc] = Obj(cls.name, dict(zip(cls.fields, args)))
@@ -500,15 +493,11 @@ def _apply_new_object(config, label):
 
 
 def _apply_new_active(config, label):
-    act = _activity(config, label)
-    th = _thread(act, label)
+    act, th = _enabled_thread(config, label)
     frame = th.stack[0]
     head = frame.stmts[0]
-    _expect(isinstance(head, MAssign) and isinstance(head.rhs, MNewActive), label)
     cls = config.program.cls(head.rhs.cls)
-    _expect(cls is not None, label)
     args = evaluate_list(head.rhs.args, act.store, frame.locals)
-    _expect(args is not None and len(args) == len(cls.fields), label)
     beta = f"a{config.act_counter}"
     piece = serialise_all(args, act.store)
     args_r, piece_r, counter = rename_disjoint({}, args, piece, counter=0)
@@ -535,27 +524,21 @@ def _apply_new_active(config, label):
     )
 
 
-def _invoke_parts(config, act, th, label):
+def _invoke_parts(act, th):
+    """The top frame, head statement, method name and target value of an
+    invocation."""
     frame = th.stack[0]
     head = frame.stmts[0]
-    _expect(isinstance(head, MAssign) and isinstance(head.rhs, MInvoke), label)
-    inv = head.rhs
-    method = _invoke_method(frame, inv)
-    _expect(method is not None, label)
-    target = evaluate(inv.target, act.store, frame.locals)
-    _expect(target is not UNDEFINED, label)
-    return frame, head, inv, method, target
+    target = evaluate(head.rhs.target, act.store, frame.locals)
+    return frame, head, _invoke_method(frame, head.rhs), target
 
 
 def _apply_invk_active(config, label):
-    act = _activity(config, label)
-    th = _thread(act, label)
-    frame, head, inv, method, target = _invoke_parts(config, act, th, label)
-    _expect(isinstance(target, ActRef) and target.name != act.name, label)
+    act, th = _enabled_thread(config, label)
+    frame, head, method, target = _invoke_parts(act, th)
+    args = _invoke_args(act, frame, head.rhs)
     callee = config.activities.get(target.name)
     _expect(callee is not None, label)
-    args = _invoke_args(act, frame, inv)
-    _expect(args is not None, label)
     fut = f"f{config.fut_counter}"
     o_fut = Loc(act.loc_counter + 1)
     store = dict(act.store)
@@ -581,12 +564,9 @@ def _apply_invk_active(config, label):
 
 
 def _apply_invk_active_self(config, label):
-    act = _activity(config, label)
-    th = _thread(act, label)
-    frame, head, inv, method, target = _invoke_parts(config, act, th, label)
-    _expect(isinstance(target, ActRef) and target.name == act.name, label)
-    args = _invoke_args(act, frame, inv)
-    _expect(args is not None, label)
+    act, th = _enabled_thread(config, label)
+    frame, head, method, target = _invoke_parts(act, th)
+    args = _invoke_args(act, frame, head.rhs)
     fut = f"f{config.fut_counter}"
     o_fut = Loc(act.loc_counter + 1)
     piece = serialise_all(args, act.store)
@@ -612,27 +592,21 @@ def _apply_invk_active_self(config, label):
 
 
 def _apply_invk_passive(config, label):
-    act = _activity(config, label)
-    th = _thread(act, label)
-    frame, head, inv, method, target = _invoke_parts(config, act, th, label)
+    act, th = _enabled_thread(config, label)
+    frame, head, method, target = _invoke_parts(act, th)
     updates = {}
     if isinstance(target, Loc):
-        storable = act.store.get(target)
-        _expect(isinstance(storable, Obj), label)
-        args = _invoke_args(act, frame, inv)
-        _expect(args is not None, label)
+        storable = act.store[target]
+        args = _invoke_args(act, frame, head.rhs)
         if is_native(storable.cls, method):
             new_frame, updates = _native_bind(act, target, method, args)
-            _expect(new_frame is not None, label)
         elif storable.cls is None and method in ("cog", "myId", "get") and not args:
             # the classless main object still answers the addressing methods
             value = None if method == "get" else storable.fields.get(method)
             new_frame = Frame({"this": target}, (MReturn(RuntimeVal(value)),))
         else:
             new_frame = bind(config.program, target, storable.cls, method, args)
-            _expect(new_frame is not None, label)
-    else:
-        _expect(is_primitive(target) and method == "get", label)
+    else:  # ``get`` on a primitive value
         new_frame = Frame({"this": target}, (MReturn(RuntimeVal(None)),))
     interrupted = frame.with_stmts((MHole(head.target),) + frame.stmts[1:])
     th2 = Thread(th.request, th.state, (new_frame, interrupted) + th.stack[1:])
@@ -640,25 +614,15 @@ def _apply_invk_passive(config, label):
 
 
 def _apply_invk_future(config, label):
-    act = _activity(config, label)
-    th = _thread(act, label)
-    frame, head, inv, method, target = _invoke_parts(config, act, th, label)
-    _expect(isinstance(target, Loc), label)
-    _expect(isinstance(act.store.get(target), FutRef), label)
-    _expect(act.limit == "S" and th.state == "A", label)
+    act, th = _enabled_thread(config, label)
     th2 = Thread(th.request, "P", th.stack)
     return config.with_activity(_set_thread(act, th2))
 
 
 def _apply_return_local(config, label):
-    act = _activity(config, label)
-    th = _thread(act, label)
-    _expect(len(th.stack) > 1, label)
+    act, th = _enabled_thread(config, label)
     frame = th.stack[0]
-    head = frame.stmts[0]
-    _expect(isinstance(head, MReturn), label)
-    v = evaluate(head.expr, act.store, frame.locals)
-    _expect(v is not UNDEFINED, label)
+    v = evaluate(frame.stmts[0].expr, act.store, frame.locals)
     below = th.stack[1]
     hole = below.stmts[0]
     _expect(isinstance(hole, MHole), label)
@@ -670,14 +634,9 @@ def _apply_return_local(config, label):
 
 
 def _apply_return(config, label):
-    act = _activity(config, label)
-    th = _thread(act, label)
-    _expect(len(th.stack) == 1, label)
+    act, th = _enabled_thread(config, label)
     frame = th.stack[0]
-    head = frame.stmts[0]
-    _expect(isinstance(head, MReturn), label)
-    v = evaluate(head.expr, act.store, frame.locals)
-    _expect(v is not UNDEFINED, label)
+    v = evaluate(frame.stmts[0].expr, act.store, frame.locals)
     fut = th.request.future
     binder = config.futures.get(fut)
     _expect(binder is not None and not binder.resolved, label)
@@ -691,8 +650,8 @@ def _apply_return(config, label):
 
 def _apply_update(config, label):
     act = _activity(config, label)
-    (loc_index,) = label.extra
-    loc = Loc(loc_index)
+    _expect(len(label.extra) == 1, label)
+    loc = Loc(label.extra[0])
     storable = act.store.get(loc)
     _expect(isinstance(storable, FutRef), label)
     binder = config.futures.get(storable.name)
@@ -710,8 +669,7 @@ def _apply_update(config, label):
 def _apply_activate(config, label):
     act = _activity(config, label)
     th = _thread(act, label)
-    _expect(th.state == "P", label)
-    _expect(activate_admissible(act, label.future), label)
+    _expect(not label.extra and activate_admissible(act, label.future), label)
     th2 = Thread(th.request, "A", th.stack)
     return config.with_activity(_set_thread(act, th2))
 
@@ -736,10 +694,6 @@ _RULES = {
     "Update": _apply_update,
     "Activate-Thread": _apply_activate,
 }
-
-# how many items a rule's label carries in ``extra``: a queue index for
-# `Serve`, a store location for `Update`, none for the others
-_EXTRA = {"Serve": 1, "Update": 1}
 
 # the rules that write nothing but their own activity (and, for `Return`,
 # its request's binder), so `apply_step` memoizes them on the activity

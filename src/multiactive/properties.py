@@ -122,6 +122,14 @@ def _closure_refs(act) -> tuple:
     return refs
 
 
+def _order_kept(old_order: list, new_order: list) -> bool:
+    """Do the entries that both orders hold stand in the same relative order?"""
+    new_set = set(new_order)
+    old_order = [f for f in old_order if f in new_set]
+    old_set = set(old_order)
+    return [f for f in new_order if f in old_set] == old_order
+
+
 def _fifo_integrity(old: MaspConfig, new: MaspConfig, label) -> list:
     """Relative order of never-served requests is stable."""
     out = []
@@ -129,12 +137,9 @@ def _fifo_integrity(old: MaspConfig, new: MaspConfig, label) -> list:
         before = old.activities.get(name)
         if before is None or before is act:
             continue
-        new_order = [q.future for q in act.queue]
-        new_set = set(new_order)
-        old_order = [q.future for q in before.queue if q.future in new_set]
-        old_set = set(old_order)
-        filtered = [f for f in new_order if f in old_set]
-        if filtered != old_order:
+        if not _order_kept(
+            [q.future for q in before.queue], [q.future for q in act.queue]
+        ):
             out.append(f"{name}: queue order changed under {label.rule}")
     return out
 
@@ -197,12 +202,7 @@ def _fresh_fifo(old: AbsConfig, new: AbsConfig, label) -> list:
         before = old.objects.get(name)
         if before is None or before is ob:
             continue
-        new_order = dests(ob)
-        new_set = set(new_order)
-        old_order = [f for f in dests(before) if f in new_set]
-        old_set = set(old_order)
-        filtered = [f for f in new_order if f in old_set]
-        if filtered != old_order:
+        if not _order_kept(dests(before), dests(ob)):
             out.append(f"{name}: pending order changed under {label.rule}")
     return out
 

@@ -49,6 +49,7 @@ from .lang.ast_masp import (
     mseq,
 )
 from .lang.wellformed import syntax_uses
+from .values import FutRef
 
 RESERVED_METHODS = ("cog", "myId", "get")
 COG_METHODS = ("freshId", "register", "retrieve", "execute", "execute_condition")
@@ -380,6 +381,4 @@ def _translate_assign(s, ctx) -> list:
 
 def detect_future_of_future(abs_config) -> bool:
     """A resolved future whose value is itself a future name (restriction 3)."""
-    from .values import FutRef
-
     return any(isinstance(v, FutRef) for v in abs_config.futures.values())

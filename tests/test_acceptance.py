@@ -186,7 +186,7 @@ def test_criterion_5_forward_simulation():
         ok = ok and good
         details.append(
             f"{name}: {rep.matched}/{rep.steps_checked} matched,"
-            f" {frac:.1%} outside, {dt:.0f}s"
+            f" {frac:.1%} outside, {rep.states} pairs, stop {rep.stop}, {dt:.0f}s"
         )
     _report(ok, "criterion 5: forward simulation - " + "; ".join(details))
 
@@ -208,7 +208,8 @@ def test_criterion_6_backward_simulation():
         good = not rep.failures and plumbing_silent and dt < 300.0
         ok = ok and good
         details.append(
-            f"{name}: {rep.matched}/{rep.steps_checked} mapped, {dt:.0f}s"
+            f"{name}: {rep.matched}/{rep.steps_checked} mapped,"
+            f" {rep.states} pairs, stop {rep.stop}, {dt:.0f}s"
         )
     _report(ok, "criterion 6: backward simulation - " + "; ".join(details))
 

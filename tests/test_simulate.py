@@ -351,3 +351,31 @@ def test_check_reaches_every_state_within_the_depth(direction, name, depth, stat
     assert rep.failures == [] and rep.outside_fragment == 0 and rep.stop == "depth"
     assert len(expected) == states
     assert reached == expected
+
+
+@pytest.mark.parametrize(
+    "direction, name", [("forward", "mapreduce.abs"), ("backward", "chat.abs")]
+)
+def test_the_pair_key_fixes_the_future_bijection(direction, name):
+    """The seen set keys a pair on its two digests, without the future
+    bijection ``ctx``: matched successor pairs whose raw configurations
+    are equal on both sides carry equal ``fut_map`` and ``rev_map``."""
+    steps = simulate._forward_steps if direction == "forward" else simulate._backward_steps
+    found = {}
+
+    def recorded(report, cn, mcn, ctx):
+        matched = steps(report, cn, mcn, ctx)
+        for pair in matched:
+            found.setdefault((abs_digest(pair[0]), masp_digest(pair[1])), []).append(pair)
+        return matched
+
+    rep = simulate._check(direction, load_abs(name), 16, 10_000, recorded)
+    assert rep.failures == []
+    compared = 0
+    for group in found.values():
+        for i, (cn, mcn, ctx) in enumerate(group):
+            for cn2, mcn2, ctx2 in group[:i]:
+                if cn == cn2 and mcn == mcn2:
+                    compared += 1
+                    assert (ctx.fut_map, ctx.rev_map) == (ctx2.fut_map, ctx2.rev_map)
+    assert compared > 0

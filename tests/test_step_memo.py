@@ -8,12 +8,19 @@ equal digests. The hand-built cases pin what a memo entry reads: the
 node, the program and the configuration cells its rule reads (a future's
 binder or value, a cog's running object), and when it keeps its
 successor alive.
+
+The enabledness tests apply, at states that ``explore`` reaches, every
+enumerated label and mutants of it: another future, another ``extra``,
+another activity, another rule. A cooperative rule, or a multi-active
+thread rule, must raise ``EngineFault`` exactly when the label is not
+enumerated.
 """
 
 import gc
 import random
 import weakref
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -24,7 +31,7 @@ import multiactive.masp.steps as masp_steps
 from genprog import gen_runnable_abs, gen_runnable_masp
 from multiactive.absm.engine import abs_initial_config
 from multiactive.canon import abs_digest, masp_digest
-from multiactive.explore import default_properties, explore
+from multiactive.explore import Property, default_properties, explore
 from multiactive.lang import parse_abs, parse_masp
 from multiactive.masp.engine import initial_config
 from multiactive.masp.runtime import MaspConfig
@@ -117,6 +124,89 @@ def test_memoized_steps_match_fresh_on_generated_programs(differential):
     for cfg in configs:
         explore(cfg, depth=20, width=150, properties=default_properties(cfg))
     assert _hits(differential) > 0
+
+
+# -- enabledness ------------------------------------------------------------------
+
+# the multi-active rules whose handlers check their premises themselves,
+# not against the enumerated labels
+_MASP_OWN_PREMISES = {"Serve", "Activate-Thread", "Update"}
+
+
+def _reached(config, width):
+    """The states that ``explore`` reaches from ``config``, to ``width``."""
+    states = []
+    record = Property("reached", state=lambda c: states.append(c) or [])
+    explore(config, depth=40, width=width, properties=(record,))
+    return states
+
+
+def _mutants(label, rules, activities, futures):
+    """``label`` and its variants in one field each."""
+    yield label
+    for fut in futures:
+        yield replace(label, future=fut)
+    yield replace(label, extra=label.extra + (0,))
+    if label.extra:
+        yield replace(label, extra=label.extra[:-1])
+        yield replace(label, extra=label.extra[:-1] + (label.extra[-1] + 1,))
+    for name in activities:
+        yield replace(label, activity=name)
+    for rule in rules:
+        yield replace(label, rule=rule)
+
+
+def _check_enabledness(config, tally):
+    """At ``config``, each checked label applies exactly when it is
+    enumerated; ``tally`` counts the applied and the refused labels."""
+    if isinstance(config, MaspConfig):
+        enabled, apply = enabled_steps, apply_step
+        rules = set(masp_steps._RULES)
+        checked = rules - _MASP_OWN_PREMISES
+        activities = set(config.activities)
+    else:
+        enabled, apply = abs_steps.abs_enabled_steps, abs_steps.abs_apply_step
+        rules = checked = set(abs_steps._RULES)
+        activities = set(config.cogs)
+    labels = enabled(config)
+    offered = set(labels)
+    futures = sorted({l.future for l in labels} | {None, "f999"}, key=str)
+    tried = set()
+    for label in labels:
+        for cand in _mutants(label, sorted(rules), sorted(activities), futures):
+            if cand.rule not in checked or cand in tried:
+                continue
+            tried.add(cand)
+            try:
+                apply(config, cand)
+                applied = True
+            except EngineFault:
+                applied = False
+            assert applied == (cand in offered), cand.key()
+            tally[applied] += 1
+
+
+def test_a_handler_takes_exactly_the_enumerated_labels_on_the_corpus():
+    tally = Counter()
+    for name in MASP_CORPUS + ABS_CORPUS + [n + ">masp" for n in ABS_CORPUS]:
+        for cfg in _reached(_corpus_config(name), 400):
+            _check_enabledness(cfg, tally)
+    assert tally[True] > 0 and tally[False] > 0
+
+
+def test_a_handler_takes_exactly_the_enumerated_labels_on_generated_programs():
+    rng = random.Random(15)
+    configs = []
+    for _ in range(25):
+        program = gen_runnable_abs(rng)
+        configs.append(abs_initial_config(program))
+        configs.append(initial_config(translate_program(program)))
+    configs += [initial_config(gen_runnable_masp(rng)) for _ in range(25)]
+    tally = Counter()
+    for cfg in configs:
+        for state in _reached(cfg, 100):
+            _check_enabledness(state, tally)
+    assert tally[True] > 0 and tally[False] > 0
 
 
 # ``get`` and ``inc`` are compatible, so ``get`` answers 0 or 1 by how the

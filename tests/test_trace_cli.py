@@ -351,9 +351,18 @@ def test_cli_run_of_cooperative_program_prints_no_diagnosis(tmp_path, capsys):
 
 # -- malformed labels -------------------------------------------------------------
 
+# how many items each rule's label carries in ``extra``: a queue index for
+# a multi-active `Serve`, a store location for `Update`, none for the other
+# multi-active rules; for a cooperative rule, the object's id, then a
+# position in its queue, or the callee's id (`Cog-Sync-Call`), or another
+# object's id and a position in that object's queue
+_MASP_EXTRA = {"Serve": 1, "Update": 1}
+_ABS_EXTRA = {"Await-False": 2, "Suspend": 2, "Cog-Sync-Call": 2,
+              "Self-Sync-Return-Sched": 2, "Cog-Sync-Return-Sched": 3}
+
 _ENGINES = {
-    "masp": (masp_steps.apply_step, masp_steps._RULES, masp_steps._EXTRA, 0),
-    "abs": (abs_steps.abs_apply_step, abs_steps._RULES, abs_steps._EXTRA, 1),
+    "masp": (masp_steps.apply_step, masp_steps._RULES, _MASP_EXTRA, 0),
+    "abs": (abs_steps.abs_apply_step, abs_steps._RULES, _ABS_EXTRA, 1),
 }
 
 
