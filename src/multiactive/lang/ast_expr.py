@@ -65,14 +65,16 @@ Expr = Union[Lit, Var, This, Binop, Unop, MethodLit, RuntimeVal]
 
 
 class _NodeFields(dict):
-    """``node_fields[cls]``: the field names of a syntax node's class but
-    ``pos``, in declaration order (None for a class that is no
-    dataclass), computed once per class: what a node's structure is, for
-    the walks over it."""
+    """``node_fields[cls]``: the field names of a syntax node's class that
+    take part in equality (not ``pos`` or ``origin``), in declaration
+    order (None for a class that is no dataclass), computed once per
+    class: what a node's structure is, for the walks over it."""
 
     def __missing__(self, cls):
         dc = getattr(cls, "__dataclass_fields__", None)
-        fields = self[cls] = None if dc is None else tuple(f for f in dc if f != "pos")
+        fields = self[cls] = (
+            None if dc is None else tuple(n for n, f in dc.items() if f.compare)
+        )
         return fields
 
 

@@ -4,11 +4,15 @@ Statement sequences are kept in normal form: ``MSeq(first, rest)`` where
 ``first`` is never itself a sequence, ending in a plain statement. The
 hole marker ``x = •`` used by the runtime call stack is not representable
 here; runtime frames use their own marker.
+
+Every statement class carries an ``origin`` beside its ``pos``: where the
+translator took the statement from (``Origin``), or None for statements
+it did not emit. Like ``pos``, it takes no part in equality.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple, Union
 
 from ..diagnostics import NO_POS, Pos
@@ -43,8 +47,21 @@ MRhs = Union[Expr, MInvoke, MNew, MNewActive]
 
 
 @dataclass(frozen=True)
+class Origin:
+    """The cooperative construct a translated statement came from, and
+    whether its step realises that construct's cooperative rule (else it
+    is plumbing around the rule)."""
+
+    # "skip", "return", "if", "assign", "new", "async", "get", "await",
+    # "guard", "suspend" or "sync"
+    construct: str
+    step: bool = False
+
+
+@dataclass(frozen=True)
 class MSkip:
     pos: Pos = field(default=NO_POS, compare=False, repr=False)
+    origin: Optional[Origin] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -52,18 +69,21 @@ class MAssign:
     target: str
     rhs: MRhs
     pos: Pos = field(default=NO_POS, compare=False, repr=False)
+    origin: Optional[Origin] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class MReturn:
     expr: Expr
     pos: Pos = field(default=NO_POS, compare=False, repr=False)
+    origin: Optional[Origin] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class MSetLimit:
     kind: str  # "S" | "H"
     pos: Pos = field(default=NO_POS, compare=False, repr=False)
+    origin: Optional[Origin] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -72,6 +92,7 @@ class MIf:
     then: "MStmt"
     els: "MStmt"
     pos: Pos = field(default=NO_POS, compare=False, repr=False)
+    origin: Optional[Origin] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -79,6 +100,7 @@ class MSeq:
     first: "MStmt"
     rest: "MStmt"
     pos: Pos = field(default=NO_POS, compare=False, repr=False)
+    origin: Optional[Origin] = field(default=None, compare=False, repr=False)
 
 
 MStmt = Union[MSkip, MAssign, MReturn, MSetLimit, MIf, MSeq]
@@ -175,7 +197,7 @@ def mnormalize(s: MStmt) -> MStmt:
     """Re-associate sequences to the right; idempotent, order preserving."""
     parts = mseq_list(s)
     parts = [
-        MIf(p.cond, mnormalize(p.then), mnormalize(p.els), pos=p.pos)
+        replace(p, then=mnormalize(p.then), els=mnormalize(p.els))
         if isinstance(p, MIf)
         else p
         for p in parts

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from ..lang.ast_expr import Lit
-from ..lang.ast_masp import MaspMethod, MaspProgram, MReturn, mseq_list
+from ..lang.ast_masp import MaspMethod, MaspProgram, MReturn, Origin, mseq_list
 from ..policy import DEFAULT_POLICY, ResolvedPolicy
 from ..values import UNRESOLVED, Loc, evolve
 
@@ -53,9 +53,11 @@ class Request:
 
 @dataclass(frozen=True)
 class MHole:
-    """The runtime-only `x = •` marker heading interrupted frames."""
+    """The runtime-only `x = •` marker heading interrupted frames; it
+    keeps the origin of the call it stands for."""
 
     target: str
+    origin: Optional[Origin] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)

@@ -4,11 +4,10 @@
 applies one. Each rule rewrites only the activities and futures it
 mentions, leaving the rest of the configuration shared.
 
-Enumeration defines when a thread rule is enabled: its handler checks
-that the label is the one `_thread_label` gives the thread, then only
-rewrites, so `apply_step` rejects any other label with `EngineFault`.
-`Serve`, `Activate-Thread` and `Update` check their premises themselves,
-since the labels memoized for an activity belong to the last mode asked.
+Enumeration defines when a rule is enabled: its handler checks that the
+label is one `enabled_steps` offers in `explore` mode (a superset of
+`run` mode's), then only rewrites, so `apply_step` rejects any other
+label with `EngineFault`.
 
 Every rule but `Update` reads only its own activity and the program, so
 each `Activity` memoizes its own labels and future cells (`_labels`);
@@ -29,6 +28,7 @@ activity, and are never memoized.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional
 
 from ..lang.ast_expr import RuntimeVal
@@ -145,8 +145,8 @@ def enabled_steps(config: MaspConfig, mode: str = "explore") -> list:
     labels = []
     futures = config.futures
     for name, act in config.activities.items():
-        own, cells = _activity_labels(config, act, mode)
-        labels.extend(own)
+        explore, run, cells = _activity_labels(config, act)
+        labels.extend(run if mode == "run" else explore)
         for index, fut in cells:
             binder = futures.get(fut)
             if binder is not None and binder.resolved:
@@ -154,50 +154,50 @@ def enabled_steps(config: MaspConfig, mode: str = "explore") -> list:
     return labels
 
 
-def _activity_labels(config, act, mode) -> tuple:
-    """An activity's labels apart from ``Update``, and its future cells as
-    ``(location index, future name)`` pairs in index order.
+def _activity_labels(config, act) -> tuple:
+    """An activity's labels apart from ``Update`` in ``explore`` mode and
+    in ``run`` mode, and its future cells as ``(location index, future
+    name)`` pairs in index order.
 
     Every rule but ``Update`` reads only the activity and the program, so
-    the result is memoized on the (immutable) activity, for the last mode
-    asked, and reused while the configuration runs the same program.
+    the result is memoized on the (immutable) activity and reused while
+    the configuration runs the same program.
     """
     hit = act.__dict__.get("_labels")
-    if hit is not None and hit[0] == mode and hit[1] is config.program:
-        return hit[2]
-    name = act.name
-    g = _grounder(act.store)
-    sched = []
+    if hit is not None and hit[0] is config.program:
+        return hit[1]
+    result = _own_labels(config, act)
+    object.__setattr__(act, "_labels", (config.program, result))
+    return result
+
+
+def _own_labels(config, act) -> tuple:
+    """What `_activity_labels` memoizes. Run mode's labels are explore
+    mode's without the activations of threads that would make no
+    progress."""
+    name, g = act.name, _grounder(act.store)
+    sched, threads = [], []
     for idx, q in enumerate(act.queue):
-        if not _serve_possible(config, act, q):
-            continue
-        if serve_admissible(act, idx, g):
-            sched.append(
-                (act.policy.group_of(q.method), Label("Serve", name, q.future, (idx,)))
-            )
+        if _serve_possible(config, act, q) and serve_admissible(act, idx, g):
+            label = Label("Serve", name, q.future, (idx,))
+            sched.append((act.policy.group_of(q.method), label))
     for fut, thread in act.current.items():
-        if thread.state == "P" and activate_admissible(act, fut):
-            if mode == "run" and not _progresses(config, act, thread):
-                continue
-            sched.append(
-                (
-                    act.policy.group_of(thread.request.method),
-                    Label("Activate-Thread", name, fut),
-                )
-            )
-    own = priority_filter(act.policy, sched)
-    for fut, thread in act.current.items():
-        if thread.state != "A":
-            continue
-        lab = _thread_label(config, act, fut, thread)
-        if lab is not None:
-            own.append(lab)
+        if thread.state == "P":
+            if activate_admissible(act, fut):
+                label = Label("Activate-Thread", name, fut)
+                sched.append((act.policy.group_of(thread.request.method), label))
+        elif (label := _thread_label(config, act, fut, thread)) is not None:
+            threads.append(label)
+    explore = priority_filter(act.policy, sched)
+    run = []
+    for label in explore:
+        if label.rule == "Serve" or _progresses(config, act, label.future):
+            run.append(label)
     cells = sorted(
         (loc.index, s.name) for loc, s in act.store.items() if s.__class__ is FutRef
     )
-    result = (tuple(own), tuple(cells))
-    object.__setattr__(act, "_labels", (mode, config.program, result))
-    return result
+    own = tuple(explore + threads)
+    return own, own if len(run) == len(explore) else tuple(run + threads), tuple(cells)
 
 
 def _serve_possible(config, act, q) -> bool:
@@ -210,10 +210,12 @@ def _serve_possible(config, act, q) -> bool:
     return bindable(config.program, act.cls, q.method, q.args)
 
 
-def _progresses(config, act, thread) -> bool:
-    """Would this passive thread do anything useful once activated?"""
+def _progresses(config, act, fut) -> bool:
+    """Would the passive thread of ``fut`` do anything useful once
+    activated?"""
+    thread = act.current[fut]
     probe = Thread(thread.request, "A", thread.stack)
-    lab = _thread_label(config, act, thread.request.future, probe)
+    lab = _thread_label(config, act, fut, probe)
     return lab is not None and lab.rule != "Invk-Future"
 
 
@@ -360,20 +362,6 @@ def _outcome(config, new, act, label) -> tuple:
     return succ, (), ()
 
 
-def _activity(config, label) -> Activity:
-    act = config.activities.get(label.activity)
-    if act is None:
-        raise EngineFault(f"no activity {label.activity}")
-    return act
-
-
-def _thread(act, label) -> Thread:
-    th = act.current.get(label.future)
-    if th is None:
-        raise EngineFault(f"no thread {label.future} in {act.name}")
-    return th
-
-
 def _expect(cond, label):
     if not cond:
         raise EngineFault(f"step not enabled: {label.key()}")
@@ -383,12 +371,10 @@ def _enabled_thread(config, label) -> tuple:
     """The activity and active thread of a thread rule's label, which must
     be the label `_thread_label` gives that thread; its handler then only
     rewrites."""
-    act = _activity(config, label)
-    th = _thread(act, label)
-    _expect(
-        th.state == "A" and _thread_label(config, act, label.future, th) == label,
-        label,
-    )
+    act = config.activities.get(label.activity)
+    th = act.current.get(label.future) if act is not None else None
+    enabled = th is not None and th.state == "A"
+    _expect(enabled and _thread_label(config, act, label.future, th) == label, label)
     return act, th
 
 
@@ -411,14 +397,17 @@ def _replace_head(thread, *stmts) -> Thread:
     return Thread(thread.request, thread.state, (new_frame,) + thread.stack[1:])
 
 
+def _offered(config, label) -> Activity:
+    """The activity of a scheduler rule's label, which must be one that
+    `enabled_steps` offers in ``explore`` mode."""
+    _expect(label in enabled_steps(config), label)
+    return config.activities[label.activity]
+
+
 def _apply_serve(config, label):
-    act = _activity(config, label)
-    _expect(len(label.extra) == 1 and 0 <= label.extra[0] < len(act.queue), label)
+    act = _offered(config, label)
     (idx,) = label.extra
     q = act.queue[idx]
-    _expect(q.future == label.future, label)
-    _expect(_serve_possible(config, act, q), label)
-    _expect(serve_admissible(act, idx, _grounder(act.store)), label)
     updates = {}
     if is_native(act.cls, q.method):
         frame, updates = _native_bind(act, act.active_loc, q.method, q.args)
@@ -487,7 +476,7 @@ def _apply_new_object(config, label):
     loc = Loc(act.loc_counter + 1)
     store = dict(act.store)
     store[loc] = Obj(cls.name, dict(zip(cls.fields, args)))
-    th2 = _replace_head(th, MAssign(head.target, RuntimeVal(loc)))
+    th2 = _replace_head(th, replace(head, rhs=RuntimeVal(loc)))
     act2 = _set_thread(act, th2, store=store, loc_counter=act.loc_counter + 1)
     return config.with_activity(act2)
 
@@ -518,7 +507,7 @@ def _apply_new_active(config, label):
         id_counter=1,
         registry={},
     )
-    th2 = _replace_head(th, MAssign(head.target, RuntimeVal(ActRef(beta))))
+    th2 = _replace_head(th, replace(head, rhs=RuntimeVal(ActRef(beta))))
     return config.with_activity(
         _set_thread(act, th2), new_act, act_counter=config.act_counter + 1
     )
@@ -554,7 +543,7 @@ def _apply_invk_active(config, label):
         queue=callee.queue + (Request(fut, method, args_r),),
         loc_counter=counter,
     )
-    th2 = _replace_head(th, MAssign(head.target, RuntimeVal(o_fut)))
+    th2 = _replace_head(th, replace(head, rhs=RuntimeVal(o_fut)))
     caller2 = _set_thread(act, th2, store=store, loc_counter=act.loc_counter + 1)
     futures = dict(config.futures)
     futures[fut] = FutBinder(method=method)
@@ -576,7 +565,7 @@ def _apply_invk_active_self(config, label):
     store = dict(act.store)
     store[o_fut] = FutRef(fut)
     store.update(piece_r)
-    th2 = _replace_head(th, MAssign(head.target, RuntimeVal(o_fut)))
+    th2 = _replace_head(th, replace(head, rhs=RuntimeVal(o_fut)))
     act2 = _set_thread(
         act,
         th2,
@@ -608,7 +597,7 @@ def _apply_invk_passive(config, label):
             new_frame = bind(config.program, target, storable.cls, method, args)
     else:  # ``get`` on a primitive value
         new_frame = Frame({"this": target}, (MReturn(RuntimeVal(None)),))
-    interrupted = frame.with_stmts((MHole(head.target),) + frame.stmts[1:])
+    interrupted = frame.with_stmts((MHole(head.target, head.origin),) + frame.stmts[1:])
     th2 = Thread(th.request, th.state, (new_frame, interrupted) + th.stack[1:])
     return config.with_activity(_set_thread(act, th2, **updates))
 
@@ -627,7 +616,8 @@ def _apply_return_local(config, label):
     hole = below.stmts[0]
     _expect(isinstance(hole, MHole), label)
     below2 = below.with_stmts(
-        (MAssign(hole.target, RuntimeVal(v)),) + below.stmts[1:]
+        (MAssign(hole.target, RuntimeVal(v), origin=hole.origin),)
+        + below.stmts[1:]
     )
     th2 = Thread(th.request, th.state, (below2,) + th.stack[2:])
     return config.with_activity(_set_thread(act, th2))
@@ -649,13 +639,9 @@ def _apply_return(config, label):
 
 
 def _apply_update(config, label):
-    act = _activity(config, label)
-    _expect(len(label.extra) == 1, label)
+    act = _offered(config, label)
     loc = Loc(label.extra[0])
-    storable = act.store.get(loc)
-    _expect(isinstance(storable, FutRef), label)
-    binder = config.futures.get(storable.name)
-    _expect(binder is not None and binder.resolved, label)
+    binder = config.futures[label.future]
     (v_r,), piece_r, counter = rename_disjoint(
         act.store, (binder.value,), binder.piece, counter=act.loc_counter
     )
@@ -667,9 +653,8 @@ def _apply_update(config, label):
 
 
 def _apply_activate(config, label):
-    act = _activity(config, label)
-    th = _thread(act, label)
-    _expect(not label.extra and activate_admissible(act, label.future), label)
+    act = _offered(config, label)
+    th = act.current[label.future]
     th2 = Thread(th.request, "A", th.stack)
     return config.with_activity(_set_thread(act, th2))
 

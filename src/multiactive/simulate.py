@@ -17,8 +17,13 @@ not checked. ``width`` bounds the distinct pairs counted, the initial one
 included. ``SimulationReport.stop`` says which bound ended the search,
 if either did.
 
-Synchronous calls and boolean await guards lie outside the proved
-fragment; branches through them are flagged and pruned, not failed.
+Synchronous calls, ``suspend`` and boolean await guards lie outside the
+proved fragment (``OUTSIDE``); branches through them are flagged and
+pruned, not failed. The translator decides which construct a step comes
+from: it records each statement's cooperative construct as its
+``origin``. Backward reads the origin of the statement a step runs,
+forward maps a cooperative step to its construct, and both ask
+``OUTSIDE``. The origin also says which backward rows a step has.
 """
 
 from __future__ import annotations
@@ -32,22 +37,34 @@ from .absm.runtime import RGFut
 from .absm.steps import abs_apply_step, abs_enabled_steps, split_guard
 from .canon import abs_digest, masp_digest
 from .equiv import EquivContext, config_equiv
-from .lang.ast_abs import AAwait, GBool, AbsProgram
+from .lang.ast_abs import GBool, AbsProgram
 from .lang.ast_expr import RuntimeVal
-from .lang.ast_masp import MAssign, MIf, MInvoke
 from .masp.engine import initial_config
-from .masp.evalfn import evaluate
 from .masp.steps import apply_step, enabled_steps
 from .translate import _pick_prefix, detect_future_of_future, translate_program
-from .values import UNRESOLVED, ActRef, ObjRef
+from .values import UNRESOLVED, ObjRef
 
 AUX_BOUND = 16  # longest silent chain: remote-new registration, ~14 steps
-SYNC_RULES = {
-    "Cog-Sync-Call",
-    "Self-Sync-Call",
-    "Rem-Sync-Call",
-    "Cog-Sync-Return-Sched",
-    "Self-Sync-Return-Sched",
+
+# the cooperative constructs outside the proved fragment; a multi-active
+# statement's construct is the one the translator records as its origin
+OUTSIDE = frozenset({"sync", "suspend", "guard"})
+
+# the construct each cooperative rule steps, where the rule alone says it
+RULE_CONSTRUCT = {
+    rule: construct
+    for construct, rules in (
+        ("skip", ("Skip",)),
+        ("return", ("Return",)),
+        ("if", ("Cond-True", "Cond-False")),
+        ("assign", ("Assign-Local", "Assign-Field")),
+        ("new", ("New-Object", "New-Cog-Object")),
+        ("async", ("Rendez-vous-Comm",)),
+        ("suspend", ("Suspend",)),
+        ("sync", ("Cog-Sync-Call", "Self-Sync-Call", "Rem-Sync-Call")),
+        ("sync", ("Cog-Sync-Return-Sched", "Self-Sync-Return-Sched")),
+    )
+    for rule in rules
 }
 
 # known matching sequences for the common rows, tried before the search
@@ -148,24 +165,19 @@ def _check(direction, p, depth, width, check_steps) -> SimulationReport:
     return report
 
 
-def _abs_rule_fragment(config, label) -> str:
-    """'in' for proved-fragment rules, 'outside' otherwise."""
-    if label.rule in SYNC_RULES or label.rule == "Suspend":
-        return "outside"
-    if label.rule in ("Await-True", "Await-False"):
-        ob = config.objects.get(ObjRef(label.extra[0], label.activity))
-        head = ob.active.stmts[0]
-        if isinstance(head, AAwait):
-            first, _ = split_guard(head.guard)
-            if isinstance(first, GBool):
-                return "outside"
-            if isinstance(first, RGFut):
-                return "outside"  # synchronous-call continuation
+def _abs_construct(config, label):
+    """The cooperative construct a cooperative step runs; None for a
+    scheduler rule."""
+    if label.rule not in ("Await-True", "Await-False", "Read-Fut"):
+        return RULE_CONSTRUCT.get(label.rule)
+    head = config.objects[ObjRef(label.extra[0], label.activity)].active.stmts[0]
     if label.rule == "Read-Fut":
-        ob = config.objects.get(ObjRef(label.extra[0], label.activity))
-        if isinstance(ob.active.stmts[0].rhs.expr, RuntimeVal):
-            return "outside"  # get injected by a remote synchronous call
-    return "in"
+        # a get that a remote synchronous call injected reads a value
+        return "sync" if isinstance(head.rhs.expr, RuntimeVal) else "get"
+    first, _ = split_guard(head.guard)
+    if isinstance(first, GBool):
+        return "guard"
+    return "sync" if isinstance(first, RGFut) else "await"  # RGFut: a sync return
 
 
 def _allowed_masp_labels(labels, step_cog, base_activities):
@@ -212,20 +224,27 @@ _SILENT_FIRST = {
 }
 
 
+def _head_origin(mcn, label):
+    """The origin of the statement that a thread rule's label steps."""
+    return mcn.activities[label.activity].current[label.future].stack[0].stmts[0].origin
+
+
+def _serves_execute(mcn, label) -> bool:
+    """Does a ``Serve`` or ``Return`` label take an execute request, that
+    is, a cooperative call rather than the scheduler's own?"""
+    return mcn.futures[label.future].method == "execute"
+
+
 def _label_priority(mcn, label) -> int:
-    base = _SILENT_FIRST.get(label.rule, 7)
-    if label.rule in ("Serve", "Return"):
-        binder = mcn.futures.get(label.future)
-        if binder is not None and binder.method != "execute":
-            return 1  # meta-request plumbing: very likely silent
-    if label.rule == "Assign-Local" and label.future is not None:
-        act = mcn.activities.get(label.activity)
-        thread = act.current.get(label.future) if act else None
-        if thread is not None:
-            head = thread.stack[0].stmts[0]
-            if getattr(head, "target", "").startswith("§"):
-                return 1
-    return base
+    """Plumbing first: the scheduler's own requests, and assignments that
+    realise no cooperative rule."""
+    if label.rule in ("Serve", "Return") and not _serves_execute(mcn, label):
+        return 1
+    if label.rule == "Assign-Local":
+        origin = _head_origin(mcn, label)
+        if origin is not None and not origin.step:
+            return 1
+    return _SILENT_FIRST.get(label.rule, 7)
 
 
 def _quick_mismatch(abs_succ, mcn) -> bool:
@@ -287,8 +306,8 @@ def _forward_steps(report, cn, mcn, ctx):
                 {"abs_rule": label.rule, "note": "restriction-3: future of future"}
             )
             continue
-        fragment = _abs_rule_fragment(cn, label)
-        bound = 4 if fragment == "outside" else AUX_BOUND
+        outside = _abs_construct(cn, label) in OUTSIDE
+        bound = 4 if outside else AUX_BOUND
         hit = None
         for seq in PRESCRIBED.get(label.rule, ()):
             got = _try_prescribed(mcn, enabled, seq, label.activity, base_activities)
@@ -304,7 +323,7 @@ def _forward_steps(report, cn, mcn, ctx):
             if got is not None:
                 hit = (*got, "bfs")
         if hit is None:
-            if fragment == "outside":
+            if outside:
                 report.outside_fragment += 1
                 report.rows.append(
                     {"abs_rule": label.rule, "note": "outside-proved-fragment"}
@@ -340,77 +359,49 @@ def check_forward_simulation(
 # -- backward direction -----------------------------------------------------------
 
 
+# the cooperative responses to a step of a statement that realises its
+# construct's cooperative rule, by construct and multi-active rule, most
+# specific first; every other step of a translated statement is silent
+STEP_ROWS = {
+    ("skip", "Skip"): [["Skip"]],
+    ("if", "Cond-True"): [["Cond-True"]],
+    ("if", "Cond-False"): [["Cond-False"]],
+    ("assign", "Assign-Local"): [["Assign-Local"]],
+    ("assign", "Assign-Field"): [["Assign-Field"]],
+    ("new", "New-Object"): [["New-Object"]],
+    ("new", "Invk-Active"): [["New-Cog-Object"]],
+    ("async", "Invk-Active"): [["Rendez-vous-Comm"]],
+    ("async", "Invk-Active-Self"): [["Rendez-vous-Comm"]],
+    ("async", "Assign-Local"): [["Assign-Local"]],  # the call, rewritten
+    ("async", "Assign-Field"): [["Assign-Field"]],
+    ("get", "Assign-Local"): [["Read-Fut", "Assign-Local"]],
+    ("get", "Assign-Field"): [["Read-Fut", "Assign-Field"]],
+    ("await", "Invk-Passive"): [["Await-True"]],
+    ("await", "Invk-Future"): [["Await-False", "Release-Cog"], ["Await-False"]],
+}
+
+
 def _masp_label_class(mcn, label):
-    """Expected cooperative responses per rule, most specific first;
-    every row also falls back to the bounded search on a miss."""
-    act = mcn.activities[label.activity]
+    """Expected cooperative responses to a multi-active step, most
+    specific first, each but ``Return``'s ending in the silent one; None
+    for a step outside the proved fragment. A scheduler rule reads its
+    request's method, a thread rule the origin of the statement it steps."""
     rule = label.rule
-    if rule == "Skip":
-        return [["Skip"]]
-    if rule == "Assign-Local":
-        thread = act.current[label.future]
-        target = thread.stack[0].stmts[0].target
-        if target.startswith("§") or len(thread.stack) != 2:
+    if rule in ("Serve", "Return"):
+        if not _serves_execute(mcn, label):
             return [[]]
-        return [["Assign-Local"], []]
-    if rule == "Assign-Field":
-        return [["Assign-Field"]]
-    if rule == "New-Object":
-        thread = act.current[label.future]
-        rhs = thread.stack[0].stmts[0].rhs
-        # created in its own cog: the cooperative object appears now
-        if len(rhs.args) >= 2 and _names_own_cog(act, thread, rhs.args[-2]):
-            return [["New-Object"]]
-        return [[]]
-    if rule == "Invk-Active":
-        meth = _invoked_method(act, label)
-        if meth == "execute":
-            return [["Rendez-vous-Comm"]]
-        if meth == "register":
-            return [["New-Cog-Object"], []]
-        return [[]]
-    if rule == "Invk-Active-Self":
-        meth = _invoked_method(act, label)
-        if meth == "execute":
-            return [["Rendez-vous-Comm"]]
-        return [[]]
-    if rule == "Invk-Future":
-        return [["Await-False", "Release-Cog"], ["Await-False"]]
-    if rule == "Invk-Passive":
-        return [[], ["Read-Fut"], ["Await-True"]]
+        return [["Activate"], []] if rule == "Serve" else [["Return"]]
     if rule == "Activate-Thread":
         return [["Activate"], []]
-    if rule == "Serve":
-        q = next(q for q in act.queue if q.future == label.future)
-        if q.method == "execute":
-            return [["Activate"], []]
+    if rule == "Update":
         return [[]]
-    if rule == "Return":
-        binder = mcn.futures.get(label.future)
-        if binder is not None and binder.method == "execute":
-            return [["Return"]]
+    origin = _head_origin(mcn, label)
+    if origin is None:  # scheduler or native plumbing
         return [[]]
-    return [[]]
-
-
-def _invoked_method(act, label):
-    """Method name of the call the labelled thread is about to make."""
-    thread = act.current.get(label.future)
-    if thread is None:
+    if origin.construct in OUTSIDE:
         return None
-    head = thread.stack[0].stmts[0]
-    if isinstance(head, MAssign) and isinstance(head.rhs, MInvoke):
-        return head.rhs.method
-    return None
-
-
-def _names_own_cog(act, thread, cog_arg) -> bool:
-    """Does the constructor's cog argument name the current activity?"""
-    try:
-        v = evaluate(cog_arg, act.store, thread.stack[0].locals)
-    except Exception:
-        return False
-    return v == ActRef(act.name)
+    rows = STEP_ROWS.get((origin.construct, rule), []) if origin.step else []
+    return rows + [[]]
 
 
 def _abs_candidates(cn, rules):
@@ -428,27 +419,6 @@ def _abs_candidates(cn, rules):
     return states
 
 
-def _masp_step_outside(mcn, label) -> bool:
-    """Steps born from synchronous-call or boolean-guard translation."""
-    act = mcn.activities.get(label.activity)
-    if act is None or label.future not in getattr(act, "current", {}):
-        return False
-    thread = act.current[label.future]
-    head = thread.stack[0].stmts[0]
-    if label.rule in ("Cond-True", "Cond-False") and isinstance(head, MIf):
-        return True  # if-statements only arise from sync calls / bool guards
-    if label.rule == "Invk-Passive":
-        # direct user-method invocation = local synchronous call
-        if isinstance(head, MAssign) and isinstance(head.rhs, MInvoke):
-            m = head.rhs.method
-            if m in ("cog", "myId", "get", "retrieve"):
-                return False
-            if m is None:  # dynamic dispatch inside the scheduler body
-                return False
-            return True
-    return False
-
-
 def _backward_steps(report, cn, mcn, ctx):
     """Check every multi-active step from the pair; the matched pairs."""
     matched = []
@@ -460,13 +430,14 @@ def _backward_steps(report, cn, mcn, ctx):
         labels = updates[:1]
     for label in labels:
         report.steps_checked += 1
-        if _masp_step_outside(mcn, label):
+        rows = _masp_label_class(mcn, label)
+        if rows is None:
             report.outside_fragment += 1
             report.rows.append({"masp_rule": label.rule, "note": "outside-proved-fragment"})
             continue
         masp_succ = apply_step(mcn, label)
         hit = None
-        for rules in _masp_label_class(mcn, label):
+        for rules in rows:
             for cand, path in _abs_candidates(cn, rules):
                 ok, _, ctx2 = config_equiv(cand, masp_succ, ctx, relaxed=True)
                 if ok:
@@ -474,9 +445,6 @@ def _backward_steps(report, cn, mcn, ctx):
                     break
             if hit:
                 break
-        if hit is None:
-            # bounded fallback over short cooperative sequences
-            hit = _backward_bfs(cn, masp_succ, ctx)
         if hit is None:
             report.failures.append(
                 {
@@ -500,25 +468,3 @@ def check_backward_simulation(
 ) -> SimulationReport:
     """Every step of the translation corresponds to a cooperative execution."""
     return _check("backward", p, depth, width, _backward_steps)
-
-
-def _backward_bfs(cn, masp_succ, ctx, bound: int = 4):
-    frontier = [(cn, [])]
-    seen = {abs_digest(cn)}
-    for _ in range(bound):
-        nxt = []
-        for cfg, path in frontier:
-            for label in abs_enabled_steps(cfg, mode="explore"):
-                succ = abs_apply_step(cfg, label)
-                d = abs_digest(succ)
-                if d in seen:
-                    continue
-                seen.add(d)
-                ok, _, ctx2 = config_equiv(succ, masp_succ, ctx, relaxed=True)
-                if ok:
-                    return succ, path + [label], ctx2
-                nxt.append((succ, path + [label]))
-        frontier = nxt
-        if not frontier:
-            break
-    return None

@@ -7,11 +7,23 @@ calls, future reads and awaits are rewritten clause by clause. Boolean
 await guards become generated ``condition_<k>`` methods evaluated through
 ``execute_condition``; the busy-wait loop is encoded as guarded
 self-recursion (the target grammar has no while).
+
+Every statement emitted for a cooperative statement carries its
+``origin`` (``ast_masp.Origin``): the cooperative construct it came from,
+and whether its step realises that construct's cooperative rule (the
+object's creation, the call, the future's read, the assignment, the
+branch) or is plumbing around it. The assignment that binds a created
+object is the cooperative assignment that creation leaves behind, so its
+construct is ``assign``. Statements nested in a generated branch, and
+the bodies of condition methods, are plumbing of their construct. The
+scheduler's bodies and the addressing methods (``cog``, ``myId``,
+``get``) have no origin. ``simulate`` reads the origin to tell the
+proved fragment and each step's cooperative response.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .diagnostics import Diagnostic, NO_POS
 from .lang.ast_abs import (
@@ -44,8 +56,10 @@ from .lang.ast_masp import (
     MNew,
     MNewActive,
     MReturn,
+    MSeq,
     MSetLimit,
     MSkip,
+    Origin,
     mseq,
 )
 from .lang.wellformed import syntax_uses
@@ -212,7 +226,9 @@ def _translate_class(c, prefix: str) -> MaspClass:
     methods.append(MaspMethod("myId", (), (), MReturn(Var("myId")), None))
     methods.append(MaspMethod("get", (), (), MReturn(Lit(None)), None))
     if ctx.needs_condition_true:
-        methods.append(_condition_method(ctx, "condition_True", (), Lit(True)))
+        methods.append(
+            _condition_method(ctx, "condition_True", (), Lit(True), "suspend")
+        )
     methods.extend(ctx.condition_methods)
     return MaspClass(
         name=c.name,
@@ -222,7 +238,7 @@ def _translate_class(c, prefix: str) -> MaspClass:
     )
 
 
-def _condition_method(ctx, name: str, params: tuple, guard_expr) -> MaspMethod:
+def _condition_method(ctx, name, params: tuple, guard_expr, construct) -> MaspMethod:
     r = ctx.temp("r")
     retry = mseq(
         [
@@ -230,7 +246,7 @@ def _condition_method(ctx, name: str, params: tuple, guard_expr) -> MaspMethod:
             MReturn(Var(r)),
         ]
     )
-    body = MIf(guard_expr, MReturn(Lit(None)), retry)
+    body = _marked(MIf(guard_expr, MReturn(Lit(None)), retry), Origin(construct))
     return MaspMethod(name, params, (r,), body, None)
 
 
@@ -241,38 +257,37 @@ def _translate_stmts(body, ctx) -> list:
     return out or [MSkip()]
 
 
+def _marked(s, origin):
+    """``s`` and the statements nested in it, marked with ``origin``."""
+    if isinstance(s, MIf):
+        plumbing = Origin(origin.construct)
+        s = replace(s, then=_marked(s.then, plumbing), els=_marked(s.els, plumbing))
+    elif isinstance(s, MSeq):
+        return replace(s, first=_marked(s.first, origin), rest=_marked(s.rest, origin))
+    return replace(s, origin=origin)
+
+
+def _from(construct, stmts, *steps) -> list:
+    """``stmts``, translated from a ``construct``: those at the indices
+    ``steps`` realise its cooperative rule, the others are plumbing."""
+    return [_marked(t, Origin(construct, i in steps)) for i, t in enumerate(stmts)]
+
+
 def translate_statement(s, ctx: TranslationContext) -> list:
-    """One statement to its list of target statements (Fig-for-fig clauses)."""
+    """One statement to its list of target statements (Fig-for-fig
+    clauses), each marked with its origin."""
     t, b, idv, w, z, no, newcog = ctx.temps()
     if isinstance(s, ASkip):
-        return [MSkip(pos=s.pos)]
+        return _from("skip", [MSkip(pos=s.pos)], 0)
     if isinstance(s, AReturn):
-        return [MReturn(s.expr, pos=s.pos)]
+        return _from("return", [MReturn(s.expr, pos=s.pos)], 0)
     if isinstance(s, AIf):
-        return [
-            MIf(
-                s.cond,
-                mseq(_translate_stmts(s.then, ctx)),
-                mseq(_translate_stmts(s.els, ctx)),
-                pos=s.pos,
-            )
-        ]
+        then = mseq(_translate_stmts(s.then, ctx))
+        els = mseq(_translate_stmts(s.els, ctx))
+        return [MIf(s.cond, then, els, pos=s.pos, origin=Origin("if", True))]
     if isinstance(s, ASuspend):
         ctx.needs_condition_true = True
-        return [
-            MAssign(t, MInvoke(This(), "cog", None, ())),
-            MAssign(idv, MInvoke(This(), "myId", None, ())),
-            MAssign(
-                z,
-                MInvoke(
-                    Var(t),
-                    "execute_condition",
-                    None,
-                    (Var(idv), MethodLit("condition_True")),
-                ),
-            ),
-            MAssign(w, MInvoke(Var(z), "get", None, ())),
-        ]
+        return _from("suspend", _conditional_wait(ctx, "condition_True", ()), 3)
     if isinstance(s, AAwait):
         return _translate_await(s.guard, ctx)
     if isinstance(s, AAssign):
@@ -280,103 +295,103 @@ def translate_statement(s, ctx: TranslationContext) -> list:
     raise TranslateError([Diagnostic(s.pos, f"untranslatable statement {s!r}")])
 
 
+def _conditional_wait(ctx, name: str, args: tuple) -> list:
+    """Wait on a ``name`` request to this object's cog."""
+    t, b, idv, w, z, no, newcog = ctx.temps()
+    request = (Var(idv), MethodLit(name)) + args
+    return [
+        MAssign(t, MInvoke(This(), "cog", None, ())),
+        MAssign(idv, MInvoke(This(), "myId", None, ())),
+        MAssign(z, MInvoke(Var(t), "execute_condition", None, request)),
+        MAssign(w, MInvoke(Var(z), "get", None, ())),
+    ]
+
+
 def _translate_await(g, ctx) -> list:
     t, b, idv, w, z, no, newcog = ctx.temps()
     if isinstance(g, GAnd):
         return _translate_await(g.left, ctx) + _translate_await(g.right, ctx)
     if isinstance(g, GFut):
-        return [MAssign(w, MInvoke(Var(g.var), "get", None, ()))]
+        return _from("await", [MAssign(w, MInvoke(Var(g.var), "get", None, ()))], 0)
     # boolean guard: one generated condition method per await site
     ctx.condition_counter += 1
     name = f"condition_{ctx.condition_counter}"
     reads = dict.fromkeys(v for _, v, _ in syntax_uses(g.expr))
     used = [v for v in reads if v in ctx.scope]
     ctx.condition_methods.append(
-        _condition_method(ctx, name, tuple(used), g.expr)
+        _condition_method(ctx, name, tuple(used), g.expr, "guard")
     )
-    call = [
-        MAssign(t, MInvoke(This(), "cog", None, ())),
-        MAssign(idv, MInvoke(This(), "myId", None, ())),
-        MAssign(
-            z,
-            MInvoke(
-                Var(t),
-                "execute_condition",
-                None,
-                (Var(idv), MethodLit(name)) + tuple(Var(x) for x in used),
-            ),
-        ),
-        MAssign(w, MInvoke(Var(z), "get", None, ())),
-    ]
-    return [MIf(Unop("!", g.expr), mseq(call), MSkip(), pos=g.pos)]
+    call = _conditional_wait(ctx, name, tuple(Var(x) for x in used))
+    return _from("guard", [MIf(Unop("!", g.expr), mseq(call), MSkip(), pos=g.pos)], 0)
+
+
+def _execute_call(x, t, idv, rhs) -> MAssign:
+    """``x = t.execute(idv, @m, args)`` for the call ``rhs`` of ``m``."""
+    args = (Var(idv), MethodLit(rhs.method)) + tuple(rhs.args)
+    return MAssign(x, MInvoke(Var(t), "execute", None, args))
 
 
 def _translate_assign(s, ctx) -> list:
     t, b, idv, w, z, no, newcog = ctx.temps()
     x, rhs = s.target, s.rhs
     if isinstance(rhs, ANew):
-        ctor_args = tuple(rhs.args)
-        if not rhs.local:
-            return [
-                MAssign(newcog, MNewActive("COG", ())),
-                MAssign(idv, MInvoke(Var(newcog), "freshId", None, ())),
-                MAssign(no, MNew(rhs.cls, ctor_args + (Var(newcog), Var(idv)))),
-                MAssign(z, MInvoke(Var(newcog), "register", None, (Var(no), Var(idv)))),
-                MAssign(x, Var(no)),
-            ]
-        return [
-            MAssign(t, MInvoke(This(), "cog", None, ())),
-            MAssign(idv, MInvoke(Var(t), "freshId", None, ())),
-            MAssign(no, MNew(rhs.cls, ctor_args + (Var(t), Var(idv)))),
-            MAssign(z, MInvoke(Var(t), "register", None, (Var(no), Var(idv)))),
-            MAssign(x, Var(no)),
+        if rhs.local:
+            cog, setup = Var(t), MAssign(t, MInvoke(This(), "cog", None, ()))
+        else:
+            cog, setup = Var(newcog), MAssign(newcog, MNewActive("COG", ()))
+        made = [
+            setup,
+            MAssign(idv, MInvoke(cog, "freshId", None, ())),
+            MAssign(no, MNew(rhs.cls, tuple(rhs.args) + (cog, Var(idv)))),
+            MAssign(z, MInvoke(cog, "register", None, (Var(no), Var(idv)))),
         ]
+        # the object is there once made in its own cog, or once registered
+        # in a fresh one; the binding is the assignment the rule leaves
+        return _from("new", made, 2 if rhs.local else 3) + _from(
+            "assign", [MAssign(x, Var(no))], 0
+        )
     if isinstance(rhs, AAsync):
-        return [
-            MAssign(t, MInvoke(rhs.target, "cog", None, ())),
-            MAssign(idv, MInvoke(rhs.target, "myId", None, ())),
-            MAssign(
-                x,
-                MInvoke(
-                    Var(t),
-                    "execute",
-                    None,
-                    (Var(idv), MethodLit(rhs.method)) + tuple(rhs.args),
-                ),
-            ),
-        ]
+        return _from(
+            "async",
+            [
+                MAssign(t, MInvoke(rhs.target, "cog", None, ())),
+                MAssign(idv, MInvoke(rhs.target, "myId", None, ())),
+                _execute_call(x, t, idv, rhs),
+            ],
+            2,
+        )
     if isinstance(rhs, ASync):
         remote = mseq(
             [
                 MAssign(idv, MInvoke(rhs.target, "myId", None, ())),
-                MAssign(
-                    x,
-                    MInvoke(
-                        Var(t),
-                        "execute",
-                        None,
-                        (Var(idv), MethodLit(rhs.method)) + tuple(rhs.args),
-                    ),
-                ),
+                _execute_call(x, t, idv, rhs),
                 MSetLimit("H"),
                 MAssign(w, MInvoke(Var(x), "get", None, ())),
                 MSetLimit("S"),
             ]
         )
         local = mseq([MAssign(x, MInvoke(rhs.target, rhs.method, None, tuple(rhs.args)))])
-        return [
-            MAssign(t, MInvoke(rhs.target, "cog", None, ())),
-            MAssign(b, MInvoke(This(), "cog", None, ())),
-            MIf(Binop("==", Var(t), Var(b)), local, remote, pos=s.pos),
-        ]
+        return _from(
+            "sync",
+            [
+                MAssign(t, MInvoke(rhs.target, "cog", None, ())),
+                MAssign(b, MInvoke(This(), "cog", None, ())),
+                MIf(Binop("==", Var(t), Var(b)), local, remote, pos=s.pos),
+            ],
+            2,
+        )
     if isinstance(rhs, AGet):
-        return [
-            MSetLimit("H"),
-            MAssign(w, MInvoke(rhs.expr, "get", None, ())),
-            MSetLimit("S"),
-            MAssign(x, rhs.expr),
-        ]
-    return [MAssign(x, rhs, pos=s.pos)]
+        return _from(
+            "get",
+            [
+                MSetLimit("H"),
+                MAssign(w, MInvoke(rhs.expr, "get", None, ())),
+                MSetLimit("S"),
+                MAssign(x, rhs.expr),
+            ],
+            3,
+        )
+    return _from("assign", [MAssign(x, rhs, pos=s.pos)], 0)
 
 
 def detect_future_of_future(abs_config) -> bool:

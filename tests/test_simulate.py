@@ -17,7 +17,7 @@ from multiactive.lang import parse_abs
 from multiactive.masp.engine import initial_config
 from multiactive.masp.steps import apply_step, enabled_steps
 from multiactive.simulate import (
-    _masp_step_outside,
+    _masp_label_class,
     check_backward_simulation,
     check_forward_simulation,
 )
@@ -179,6 +179,30 @@ def test_bool_guard_over_method_variables(src, steps, outside):
     assert bwd.outside_fragment == outside
 
 
+# a plain ``if`` lies inside the proved fragment: the backward check
+# answers its translation's ``Cond-True`` with the cooperative one, then
+# checks the return, the await and the get behind it
+IF_PROGRAM = """
+class C() {
+  method m(x) { vars y; if (x > 0) { y = 1 } else { y = 2 }; return y }
+}
+{ vars c, f, r; c = new C(); f = c!m(1); await f?; r = f.get }
+"""
+
+
+def test_an_if_is_checked_in_both_directions():
+    program = parse_abs(IF_PROGRAM)
+    fwd = check_forward_simulation(program, depth=60, width=10_000)
+    assert fwd.failures == [] and fwd.outside_fragment == 0
+    assert fwd.matched == fwd.steps_checked == 60
+    bwd = check_backward_simulation(program, depth=60, width=10_000)
+    assert bwd.failures == [] and bwd.outside_fragment == 0
+    assert (bwd.states, bwd.steps_checked, bwd.matched) == (609, 922, 922)
+    assert bwd.stop == "exhausted"
+    answered = {rule for r in bwd.rows for rule in r.get("abs_rules", ())}
+    assert {"Cond-True", "Return", "Await-True", "Read-Fut"} <= answered
+
+
 def test_future_of_future_branches_skipped():
     src = """
 class Inner() { method val() { return 5 } }
@@ -301,7 +325,7 @@ def _masp_successors(cfg):
     labels = enabled_steps(cfg, mode="explore")
     updates = [l for l in labels if l.rule == "Update"]
     for label in updates[:1] or labels:
-        if not _masp_step_outside(cfg, label):
+        if _masp_label_class(cfg, label) is not None:
             yield apply_step(cfg, label)
 
 

@@ -11,9 +11,8 @@ successor alive.
 
 The enabledness tests apply, at states that ``explore`` reaches, every
 enumerated label and mutants of it: another future, another ``extra``,
-another activity, another rule. A cooperative rule, or a multi-active
-thread rule, must raise ``EngineFault`` exactly when the label is not
-enumerated.
+another activity, another rule. Every rule of either engine must raise
+``EngineFault`` exactly when the label is not enumerated.
 """
 
 import gc
@@ -36,6 +35,7 @@ from multiactive.lang import parse_abs, parse_masp
 from multiactive.masp.engine import initial_config
 from multiactive.masp.runtime import MaspConfig
 from multiactive.masp.steps import apply_step, enabled_steps
+from multiactive.steplabel import Label
 from multiactive.translate import translate_program
 from multiactive.values import EngineFault, ObjRef, evolve
 
@@ -128,10 +128,6 @@ def test_memoized_steps_match_fresh_on_generated_programs(differential):
 
 # -- enabledness ------------------------------------------------------------------
 
-# the multi-active rules whose handlers check their premises themselves,
-# not against the enumerated labels
-_MASP_OWN_PREMISES = {"Serve", "Activate-Thread", "Update"}
-
 
 def _reached(config, width):
     """The states that ``explore`` reaches from ``config``, to ``width``."""
@@ -162,11 +158,10 @@ def _check_enabledness(config, tally):
     if isinstance(config, MaspConfig):
         enabled, apply = enabled_steps, apply_step
         rules = set(masp_steps._RULES)
-        checked = rules - _MASP_OWN_PREMISES
         activities = set(config.activities)
     else:
         enabled, apply = abs_steps.abs_enabled_steps, abs_steps.abs_apply_step
-        rules = checked = set(abs_steps._RULES)
+        rules = set(abs_steps._RULES)
         activities = set(config.cogs)
     labels = enabled(config)
     offered = set(labels)
@@ -174,7 +169,7 @@ def _check_enabledness(config, tally):
     tried = set()
     for label in labels:
         for cand in _mutants(label, sorted(rules), sorted(activities), futures):
-            if cand.rule not in checked or cand in tried:
+            if cand in tried:
                 continue
             tried.add(cand)
             try:
@@ -207,6 +202,33 @@ def test_a_handler_takes_exactly_the_enumerated_labels_on_generated_programs():
         for state in _reached(cfg, 100):
             _check_enabledness(state, tally)
     assert tally[True] > 0 and tally[False] > 0
+
+
+# ``hi`` outranks ``lo`` and the groups are compatible: once both requests
+# are queued, only ``h``'s may be served
+PRIORITY_SERVER = """
+class S() {
+  policy { group hi selfcompatible; group lo selfcompatible;
+           compatible hi lo; priority hi > lo; }
+  method h() group hi { return 1 }
+  method l() group lo { return 2 }
+}
+{ vars s, a, b; s = newActive S(); a = s.l(); b = s.h() }
+"""
+
+
+def test_serve_refuses_a_request_the_priority_puts_behind():
+    refused = []
+    for state in _reached(initial_config(parse_masp(PRIORITY_SERVER)), 400):
+        offered = set(enabled_steps(state))
+        for name, act in state.activities.items():
+            for idx, q in enumerate(act.queue):
+                label = Label("Serve", name, q.future, (idx,))
+                if label not in offered:
+                    with pytest.raises(EngineFault):
+                        apply_step(state, label)
+                    refused.append(label.key())
+    assert refused == ["Serve/a1/f1/0"] * 3
 
 
 # ``get`` and ``inc`` are compatible, so ``get`` answers 0 or 1 by how the
