@@ -42,11 +42,15 @@ change with its successor, so a digest costs the shapes of the changed
 nodes, the changed activity's composition over its children's names,
 and one entry per activity and future. The digest is memoized on the
 configuration.
+
+Hash. BLAKE2b comes from CPython's built-in ``_blake2`` module, the one
+``hashlib.blake2b`` is itself bound to.
 """
 
 from __future__ import annotations
 
-import hashlib
+# Not hashlib: it maps OpenSSL's libcrypto (~3.5 MB) only to hand back _blake2's.
+from _blake2 import blake2b
 from operator import attrgetter, is_, itemgetter
 
 from .lang.ast_expr import node_fields
@@ -55,7 +59,7 @@ from .values import UNRESOLVED, ActRef, FutRef, Loc, MethodVal, ObjRef, show_val
 
 
 def digest_of(text: str) -> str:
-    return hashlib.blake2b(text.encode(), digest_size=8).hexdigest()
+    return blake2b(text.encode(), digest_size=8).hexdigest()
 
 
 def program_digest(program, pretty) -> str:

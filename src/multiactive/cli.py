@@ -121,7 +121,11 @@ def _cmd_check_sim(args) -> int:
         reports.append(check_forward_simulation(program, args.depth, args.width))
     if args.direction in ("backward", "both"):
         reports.append(check_backward_simulation(program, args.depth, args.width))
-    payload = [r.to_json() for r in reports]
+    # the coverage counts ride beside to_json(), whose keys pinned reports hash
+    payload = [
+        {**r.to_json(), "abs_states": r.abs_states, "masp_states": r.masp_states}
+        for r in reports
+    ]
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
@@ -131,7 +135,8 @@ def _cmd_check_sim(args) -> int:
                 f"{r['direction']}: matched {r['matched']}/{r['steps_checked']}"
                 f" (outside fragment {r['outside_fragment']},"
                 f" restriction skips {r['skipped_restriction']},"
-                f" failures {len(r['failures'])}), states {r['states']}"
+                f" failures {len(r['failures'])}), cooperative {r['abs_states']},"
+                f" multi-active {r['masp_states']}, states {r['states']}"
                 + cut.get(r["stop"], "")
             )
     unchecked = [r for r in reports if r.stop != "exhausted" and not r.steps_checked]

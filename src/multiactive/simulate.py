@@ -96,6 +96,8 @@ class SimulationReport:
     failures: list = field(default_factory=list)
     rows: list = field(default_factory=list)  # matched rule mapping records
     states: int = 0  # distinct pairs counted, the initial one included
+    abs_states: int = 0  # distinct cooperative configurations among the pairs
+    masp_states: int = 0  # distinct multi-active configurations among the pairs
     stop: str = "exhausted"  # or the bound that ended it: "depth" or "width"
     elapsed: float = 0.0
 
@@ -161,6 +163,8 @@ def _check(direction, p, depth, width, check_steps) -> SimulationReport:
             break
         found = checked(level)
     report.states = len(seen)
+    report.abs_states = len({a for a, _ in seen})
+    report.masp_states = len({m for _, m in seen})
     report.elapsed = time.monotonic() - t0
     return report
 

@@ -186,7 +186,8 @@ def test_criterion_5_forward_simulation():
         ok = ok and good
         details.append(
             f"{name}: {rep.matched}/{rep.steps_checked} matched,"
-            f" {frac:.1%} outside, {rep.states} pairs, stop {rep.stop}, {dt:.0f}s"
+            f" {frac:.1%} outside, {rep.states} pairs ({rep.abs_states} cooperative,"
+            f" {rep.masp_states} multi-active states), stop {rep.stop}, {dt:.0f}s"
         )
     _report(ok, "criterion 5: forward simulation - " + "; ".join(details))
 
@@ -209,7 +210,8 @@ def test_criterion_6_backward_simulation():
         ok = ok and good
         details.append(
             f"{name}: {rep.matched}/{rep.steps_checked} mapped,"
-            f" {rep.states} pairs, stop {rep.stop}, {dt:.0f}s"
+            f" {rep.states} pairs ({rep.abs_states} cooperative,"
+            f" {rep.masp_states} multi-active states), stop {rep.stop}, {dt:.0f}s"
         )
     _report(ok, "criterion 6: backward simulation - " + "; ".join(details))
 

@@ -1,12 +1,13 @@
 """Canonical digests versus a brute-force alpha-equivalence oracle."""
 
+import hashlib
 import itertools
 import random
 import typing
 
 import pytest
 from alphaoracle import abs_alpha_equiv, masp_alpha_equiv
-from multiactive import canon, corpus_path, parse_abs, parse_masp
+from multiactive import canon, corpus_path, parse_abs, parse_masp, pretty_abs, pretty_masp
 from multiactive.absm.engine import abs_initial_config
 from multiactive.absm.runtime import AbsConfig, Ob, Process, RGFut
 from multiactive.absm.steps import abs_apply_step, abs_enabled_steps
@@ -29,7 +30,7 @@ from multiactive.masp.steps import apply_step, enabled_steps
 from multiactive.translate import translate_program
 from multiactive.values import UNRESOLVED, ActRef, FutRef, Loc, ObjRef
 
-from conftest import load_abs, load_masp
+from conftest import ABS_CORPUS, MASP_CORPUS, load_abs, load_masp
 
 
 def _rename_masp(config, act_map, fut_map, loc_shift):
@@ -517,3 +518,26 @@ def test_look_alike_cogs():
     same_twice = _look_alike_cogs(ObjRef(1, "a1"), ObjRef(1, "a1"))
     assert not abs_alpha_equiv(told_apart, same_twice)
     assert abs_digest(same_twice) != abs_digest(told_apart)
+
+
+def _digest_inputs():
+    """Texts canon hashes: every corpus program and translation as
+    printed, and records whose slots run past U+007F (more than 94
+    names), where a slot takes two or three bytes of UTF-8."""
+    for name in ABS_CORPUS:
+        program = load_abs(name)
+        yield pretty_abs(program)
+        yield pretty_masp(translate_program(program))
+    for name in MASP_CORPUS:
+        yield pretty_masp(load_masp(name))
+    for names in (0x5E, 0x5F, 0x60, 300, 0x800):
+        yield "Activity" + "".join(chr(canon._SLOT0 + i) for i in range(names))
+
+
+def test_digest_is_hashlib_blake2b():
+    """canon takes BLAKE2b from the built-in _blake2; hashlib's is the
+    reference, so a swap of implementation cannot move a digest."""
+    texts = list(_digest_inputs())
+    assert max(max(t) for t in texts) > "\u07ff"
+    for text in texts:
+        assert canon.digest_of(text) == hashlib.blake2b(text.encode(), digest_size=8).hexdigest()

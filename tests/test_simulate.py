@@ -293,6 +293,26 @@ def test_simulation_reports_are_pinned(case):
         assert rep.stop == ("exhausted" if name == "bank_account.abs" else "depth")
 
 
+# program -> (cooperative, multi-active) configurations among the pairs,
+# forward then backward, at depth 30 / width 10^4: backward reaches few
+# of the cooperative states forward reaches
+COVERAGE = {
+    "bank_account.abs": ((53, 31), (7, 2802)),
+    "futures_of_futures.abs": ((45, 29), (8, 2534)),
+    "mapreduce.abs": ((710, 322), (7, 3288)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COVERAGE))
+def test_reports_count_the_states_each_side_covers(name):
+    program = load_abs(name)
+    reports = [
+        check(program, 30, 10_000)
+        for check in (check_forward_simulation, check_backward_simulation)
+    ]
+    assert tuple((rep.abs_states, rep.masp_states) for rep in reports) == COVERAGE[name]
+
+
 def _reference_states(cfg, depth, successors, digest):
     """Digests of the states within ``depth`` steps of ``cfg``, by a
     plain breadth-first search over one calculus."""

@@ -87,6 +87,8 @@ def test_cli_check_sim(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert code == 0
     assert payload[0]["failures"] == []
+    # the distinct cooperative and multi-active configurations among the pairs
+    assert [payload[0][k] for k in ("states", "abs_states", "masp_states")] == [36, 36, 33]
 
 
 def test_cli_check_sim_text_shows_states_and_truncation(capsys):
@@ -107,6 +109,7 @@ def test_cli_check_sim_text_shows_states_and_truncation(capsys):
     assert cli(["check-sim", target, "--direction", "forward"]) == 0
     (line,) = capsys.readouterr().out.splitlines()
     assert line.endswith("states 53")  # exhausted within the default bounds
+    assert line.endswith("), cooperative 53, multi-active 31, states 53")
 
 
 def test_cli_check_sim_fails_when_the_width_leaves_nothing_checked(capsys):
