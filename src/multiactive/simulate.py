@@ -24,6 +24,17 @@ from: it records each statement's cooperative construct as its
 ``origin``. Backward reads the origin of the statement a step runs,
 forward maps a cooperative step to its construct, and both ask
 ``OUTSIDE``. The origin also says which backward rows a step has.
+
+Pairs share configurations. When a pair is admitted, each side's
+configuration is replaced by the object already admitted under the same
+digest in this level or the previous one, if the two are equal as raw
+values; an alpha variant keeps its own object. A configuration memoizes
+its enabled labels and its successor under each label (``_labels``,
+``_successor``), so the pairs and silent searches that reach one
+configuration step it once, and its successors, shared in turn, are
+digested once. The table of admitted objects holds two levels: a
+configuration lives as long as a pair or a successor memo of those
+levels refers to it.
 """
 
 from __future__ import annotations
@@ -128,8 +139,9 @@ def _check(direction, p, depth, width, check_steps) -> SimulationReport:
     """Search the pairs level by level from the initial one.
     ``check_steps(report, cn, mcn, ctx)`` checks every step that the
     driving side can take from a pair and returns the matched successor
-    pairs. Only the level being built is held, and each pair is dropped
-    once it is checked."""
+    pairs. The pairs of the level being built are held, and each pair of
+    the level before is dropped once it is checked. The canonical
+    configuration objects of both levels are held, by digest."""
     t0 = time.monotonic()
     report = SimulationReport(direction)
     cn, mcn = abs_initial_config(p), initial_config(translate_program(p))
@@ -145,8 +157,10 @@ def _check(direction, p, depth, width, check_steps) -> SimulationReport:
 
     seen = set()
     found = [(cn, mcn, ctx)] if ok else []
+    admitted = {}
     for level_no in range(depth + 1):
         level = deque()
+        before, admitted = admitted, {}
         for cn, mcn, ctx in found:
             key = (abs_digest(cn), masp_digest(mcn))
             if key in seen:
@@ -158,7 +172,8 @@ def _check(direction, p, depth, width, check_steps) -> SimulationReport:
             if level_no == depth:
                 report.stop = "depth"  # counted, not checked
             else:
-                level.append((cn, mcn, ctx))
+                cn = _shared(cn, key[0], admitted, before)
+                level.append((cn, _shared(mcn, key[1], admitted, before), ctx))
         if report.stop == "width" or not level:
             break
         found = checked(level)
@@ -167,6 +182,39 @@ def _check(direction, p, depth, width, check_steps) -> SimulationReport:
     report.masp_states = len({m for _, m in seen})
     report.elapsed = time.monotonic() - t0
     return report
+
+
+def _shared(config, digest, admitted, before):
+    """The object admitted under ``digest`` in this level or the one
+    ``before`` if it equals ``config`` as a raw value, else ``config``;
+    either way it is admitted in this level. Equal raw configurations
+    give equal future bijections, so the pair's ``ctx`` stays valid."""
+    got = admitted.get(digest) or before.get(digest)
+    if got is not None and (got is config or got == config):
+        config = got
+    admitted.setdefault(digest, config)
+    return config
+
+
+def _labels(config, enabled):
+    """``enabled(config, mode="explore")`` as a tuple, memoized on the
+    (immutable) configuration, outside its fields, as ``_steps``."""
+    labels = config.__dict__.get("_steps")
+    if labels is None:
+        labels = tuple(enabled(config, mode="explore"))
+        object.__setattr__(config, "_steps", labels)
+    return labels
+
+
+def _successor(config, label, apply):
+    """``apply(config, label)``, memoized on the configuration as ``_succ``."""
+    succs = config.__dict__.get("_succ")
+    if succs is None:
+        succs = config.__dict__["_succ"] = {}
+    succ = succs.get(label)
+    if succ is None:
+        succ = succs[label] = apply(config, label)
+    return succ
 
 
 def _abs_construct(config, label):
@@ -195,14 +243,12 @@ def _allowed_masp_labels(labels, step_cog, base_activities):
     ]
 
 
-def _try_prescribed(mcn, enabled, sequence, step_cog, base_activities):
-    """Apply a rule-name sequence greedily; None on ambiguity or absence.
-    ``enabled`` is ``enabled_steps(mcn)``."""
+def _try_prescribed(mcn, sequence, step_cog, base_activities):
+    """Apply a rule-name sequence greedily; None on ambiguity or absence."""
     path = []
     cur = mcn
     for rule in sequence:
-        if path:
-            enabled = enabled_steps(cur, mode="explore")
+        enabled = _labels(cur, enabled_steps)
         cands = [
             l
             for l in _allowed_masp_labels(enabled, step_cog, base_activities)
@@ -210,7 +256,7 @@ def _try_prescribed(mcn, enabled, sequence, step_cog, base_activities):
         ]
         if len(cands) != 1:
             return None
-        cur = apply_step(cur, cands[0])
+        cur = _successor(cur, cands[0], apply_step)
         path.append(cands[0])
     return cur, path
 
@@ -262,9 +308,8 @@ def _quick_mismatch(abs_succ, mcn) -> bool:
     return n_abs != n_masp
 
 
-def _match_forward(abs_succ, mcn, enabled, ctx, step_cog, bound):
-    """Find a silent multi-active sequence reaching an equivalent config;
-    ``enabled`` is ``enabled_steps(mcn)``.
+def _match_forward(abs_succ, mcn, ctx, step_cog, bound):
+    """Find a silent multi-active sequence reaching an equivalent config.
 
     Depth-first with silent-looking steps tried first: the additional
     steps never introduce concurrency, so the greedy descent almost
@@ -280,12 +325,10 @@ def _match_forward(abs_succ, mcn, enabled, ctx, step_cog, bound):
                 return cfg, path, ctx2
         if len(path) >= bound:
             continue
-        if path:
-            enabled = enabled_steps(cfg, mode="explore")
-        labels = _allowed_masp_labels(enabled, step_cog, base_activities)
+        labels = _allowed_masp_labels(_labels(cfg, enabled_steps), step_cog, base_activities)
         labels.sort(key=lambda l: _label_priority(cfg, l), reverse=True)
         for label in labels:  # reversed: best candidates pop first
-            succ = apply_step(cfg, label)
+            succ = _successor(cfg, label, apply_step)
             d = masp_digest(succ)
             if d in seen:
                 continue
@@ -297,12 +340,9 @@ def _match_forward(abs_succ, mcn, enabled, ctx, step_cog, bound):
 def _forward_steps(report, cn, mcn, ctx):
     """Check every cooperative step from the pair; the matched pairs."""
     matched = []
-    abs_labels = abs_enabled_steps(cn, mode="explore")
-    # the same for every cooperative label: computed once per pair
-    enabled = enabled_steps(mcn, mode="explore") if abs_labels else []
     base_activities = set(mcn.activities)
-    for label in abs_labels:
-        abs_succ = abs_apply_step(cn, label)
+    for label in _labels(cn, abs_enabled_steps):
+        abs_succ = _successor(cn, label, abs_apply_step)
         report.steps_checked += 1
         if detect_future_of_future(abs_succ):
             report.skipped_restriction += 1
@@ -314,7 +354,7 @@ def _forward_steps(report, cn, mcn, ctx):
         bound = 4 if outside else AUX_BOUND
         hit = None
         for seq in PRESCRIBED.get(label.rule, ()):
-            got = _try_prescribed(mcn, enabled, seq, label.activity, base_activities)
+            got = _try_prescribed(mcn, seq, label.activity, base_activities)
             if got is None:
                 continue
             cand, path = got
@@ -323,7 +363,7 @@ def _forward_steps(report, cn, mcn, ctx):
                 hit = (cand, path, ctx2, "prescribed")
                 break
         if hit is None:
-            got = _match_forward(abs_succ, mcn, enabled, ctx, label.activity, bound)
+            got = _match_forward(abs_succ, mcn, ctx, label.activity, bound)
             if got is not None:
                 hit = (*got, "bfs")
         if hit is None:
@@ -414,9 +454,9 @@ def _abs_candidates(cn, rules):
     for rule in rules:
         nxt = []
         for cfg, path in states:
-            for label in abs_enabled_steps(cfg, mode="explore"):
+            for label in _labels(cfg, abs_enabled_steps):
                 if label.rule == rule:
-                    nxt.append((abs_apply_step(cfg, label), path + [label]))
+                    nxt.append((_successor(cfg, label, abs_apply_step), path + [label]))
         states = nxt
         if not states:
             return []

@@ -6,6 +6,7 @@ budgets small and inspect the matched rule rows.
 
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -22,8 +23,11 @@ from multiactive.simulate import (
     check_forward_simulation,
 )
 from multiactive.translate import detect_future_of_future, translate_program
+from multiactive.values import ObjRef
 
-from conftest import load_abs
+from conftest import ABS_CORPUS, load_abs
+from genprog import gen_runnable_abs
+from test_canon import _look_alike_cogs, _rename_abs, _rename_masp, _walk_masp
 
 SIMPLE = """
 class Worker() { method job(n) { return n + 1 } }
@@ -423,3 +427,94 @@ def test_the_pair_key_fixes_the_future_bijection(direction, name):
                     compared += 1
                     assert (ctx.fut_map, ctx.rev_map) == (ctx2.fut_map, ctx2.rev_map)
     assert compared > 0
+
+
+def test_admission_shares_only_raw_equal_configurations():
+    """A pair's configuration is replaced by the one admitted under the
+    same digest, in its level or the one before, only when the two are
+    equal as raw values: an alpha variant names other futures, so it
+    keeps its own object and the labels and successors that go with it."""
+    program = translate_program(load_abs("mapreduce.abs"))
+    walked = _walk_masp(initial_config(program), random.Random(5), 12)
+    again = _walk_masp(initial_config(program), random.Random(5), 12)
+    acts, futs = list(walked.activities), list(walked.futures)
+    moved = _rename_masp(walked, dict(zip(acts, acts)), dict(zip(futs, futs)), dict.fromkeys(acts, 3))
+    cogs = _look_alike_cogs(ObjRef(1, "a1"), ObjRef(1, "a2"))
+    swapped = _rename_abs(cogs, {"a0": "a0", "a1": "a2", "a2": "a1"}, {"f0": "f0"})
+    rebuilt = _rename_abs(cogs, {c: c for c in cogs.cogs}, {"f0": "f0"})
+    for config, variant, copy, digest in (
+        (walked, moved, again, masp_digest),
+        (cogs, swapped, rebuilt, abs_digest),
+    ):
+        d = digest(config)
+        assert digest(variant) == d and variant != config
+        assert digest(copy) == d and copy == config and copy is not config
+        admitted = {}
+        assert simulate._shared(config, d, admitted, {}) is config
+        assert simulate._shared(variant, d, admitted, {}) is variant
+        assert simulate._shared(copy, d, admitted, {}) is config
+        later = {}
+        assert simulate._shared(copy, d, later, admitted) is config
+        assert later == {d: config}
+
+
+def _report_text(rep) -> str:
+    """Everything a report says but the elapsed time."""
+    j = rep.to_json()
+    del j["elapsed_s"]
+    j.update(rows=rep.rows, abs_states=rep.abs_states, masp_states=rep.masp_states)
+    return json.dumps(j, sort_keys=True)
+
+
+def _unshared_report(check, program, depth, width):
+    """The report with every label and successor computed afresh."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "_labels", lambda config, enabled: tuple(enabled(config, mode="explore")))
+        mp.setattr(simulate, "_successor", lambda config, label, apply: apply(config, label))
+        return check(program, depth, width)
+
+
+@pytest.mark.parametrize("name", ABS_CORPUS)
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_shared_steps_leave_the_reports_unchanged(direction, name):
+    check = check_forward_simulation if direction == "forward" else check_backward_simulation
+    program = load_abs(name)
+    shared = check(program, 16, 10_000)
+    assert _report_text(shared) == _report_text(_unshared_report(check, program, 16, 10_000))
+
+
+def test_shared_steps_leave_the_fuzz_reports_unchanged():
+    """Forward, on the cooperative programs of ``test_fuzz``."""
+    rng = random.Random(12345)
+    for _ in range(30):
+        program = gen_runnable_abs(rng)
+        shared = check_forward_simulation(program, 8, 2000)
+        unshared = _unshared_report(check_forward_simulation, program, 8, 2000)
+        assert _report_text(shared) == _report_text(unshared)
+
+
+def test_forward_steps_each_configuration_once(monkeypatch):
+    """Each step function is called about once per distinct key it
+    serves: (multi-active digest, label), multi-active digest, and
+    (cooperative digest, label). Without shared configurations the
+    multi-active calls run at about three times their keys."""
+    layers = {
+        "apply_step": lambda config, label, **kw: (masp_digest(config), label),
+        "enabled_steps": lambda config, **kw: masp_digest(config),
+        "abs_apply_step": lambda config, label, **kw: (abs_digest(config), label),
+    }
+    calls = {name: [] for name in layers}
+
+    def counted(name, fn):
+        def wrapper(*args, **kw):
+            calls[name].append(layers[name](*args, **kw))
+            return fn(*args, **kw)
+
+        return wrapper
+
+    for name in layers:
+        monkeypatch.setattr(simulate, name, counted(name, getattr(simulate, name)))
+    rep = check_forward_simulation(load_abs("mapreduce.abs"), 24, 10_000)
+    assert rep.failures == [] and rep.states == 983
+    for name, keys in calls.items():
+        assert len(set(keys)) <= len(keys) <= 1.15 * len(set(keys)), (name, len(keys), len(set(keys)))
