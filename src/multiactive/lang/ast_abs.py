@@ -4,10 +4,11 @@ object layer only: classes, no interfaces or algebraic data types)."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional, Tuple, Union
 
 from ..diagnostics import NO_POS, Pos
-from .ast_expr import Expr
+from .ast_expr import Expr, seq, seq_list
 
 
 @dataclass(frozen=True)
@@ -149,31 +150,5 @@ class AbsProgram:
         return None
 
 
-def aseq(stmts) -> AStmt:
-    stmts = [s for s in stmts]
-    if not stmts:
-        return ASkip()
-    out = stmts[-1]
-    for s in reversed(stmts[:-1]):
-        out = ASeq(s, out)
-    return out
-
-
-def aseq_list(s: AStmt) -> list:
-    out = []
-    while isinstance(s, ASeq):
-        out.extend(aseq_list(s.first))
-        s = s.rest
-    out.append(s)
-    return out
-
-
-def anormalize(s: AStmt) -> AStmt:
-    parts = aseq_list(s)
-    parts = [
-        AIf(p.cond, anormalize(p.then), anormalize(p.els), pos=p.pos)
-        if isinstance(p, AIf)
-        else p
-        for p in parts
-    ]
-    return aseq(parts)
+aseq = partial(seq, Seq=ASeq, Skip=ASkip)
+aseq_list = partial(seq_list, Seq=ASeq)

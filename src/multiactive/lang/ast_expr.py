@@ -1,13 +1,17 @@
-"""Expression nodes, shared by both languages.
+"""Expression nodes and statement-sequence helpers, shared by both
+languages.
 
 Expressions are pure: values, variables, ``this`` and arithmetic/boolean
 operators. Positions never take part in equality so parse/pretty round
 trips compare structurally.
+
+The sequence helpers take a language's ``Seq``, ``Skip`` and ``If``
+classes; each language binds them to its own (``mseq``, ``aseq_list``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Union
 
 from ..diagnostics import NO_POS, Pos
@@ -79,3 +83,37 @@ class _NodeFields(dict):
 
 
 node_fields = _NodeFields()
+
+
+def seq(stmts, Seq, Skip):
+    """Right-associated sequence of the given statements (skip if empty)."""
+    stmts = list(stmts)
+    if not stmts:
+        return Skip()
+    out = stmts[-1]
+    for s in reversed(stmts[:-1]):
+        out = Seq(s, out)
+    return out
+
+
+def seq_list(s, Seq) -> list:
+    """Flatten a statement into its top-level sequence components."""
+    out = []
+    while isinstance(s, Seq):
+        out.extend(seq_list(s.first, Seq))
+        s = s.rest
+    out.append(s)
+    return out
+
+
+def normalize(s, Seq, Skip, If):
+    """Re-associate sequences to the right; idempotent, order preserving."""
+    def norm(branch):
+        return normalize(branch, Seq, Skip, If)
+
+    parts = seq_list(s, Seq)
+    parts = [
+        replace(p, then=norm(p.then), els=norm(p.els)) if isinstance(p, If) else p
+        for p in parts
+    ]
+    return seq(parts, Seq, Skip)

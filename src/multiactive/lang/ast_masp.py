@@ -1,9 +1,11 @@
 """Abstract syntax of the multi-active object language.
 
 Statement sequences are kept in normal form: ``MSeq(first, rest)`` where
-``first`` is never itself a sequence, ending in a plain statement. The
-hole marker ``x = •`` used by the runtime call stack is not representable
-here; runtime frames use their own marker.
+``first`` is never itself a sequence, ending in a plain statement.
+``mseq`` and ``mseq_list`` are the sequence helpers of ``ast_expr``,
+which both languages share, bound to ``MSeq``. The hole marker
+``x = •`` used by the runtime call stack is not representable here;
+runtime frames use their own marker.
 
 Every statement class carries an ``origin`` beside its ``pos``: where the
 translator took the statement from (``Origin``), or None for statements
@@ -12,11 +14,12 @@ it did not emit. Like ``pos``, it takes no part in equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional, Tuple, Union
 
 from ..diagnostics import NO_POS, Pos
-from .ast_expr import Expr
+from .ast_expr import Expr, seq, seq_list
 
 
 @dataclass(frozen=True)
@@ -172,34 +175,5 @@ class MaspProgram:
         return None
 
 
-def mseq(stmts) -> MStmt:
-    """Right-associated sequence of the given statements (skip if empty)."""
-    stmts = [s for s in stmts]
-    if not stmts:
-        return MSkip()
-    out = stmts[-1]
-    for s in reversed(stmts[:-1]):
-        out = MSeq(s, out)
-    return out
-
-
-def mseq_list(s: MStmt) -> list:
-    """Flatten a statement into its top-level sequence components."""
-    out = []
-    while isinstance(s, MSeq):
-        out.extend(mseq_list(s.first))
-        s = s.rest
-    out.append(s)
-    return out
-
-
-def mnormalize(s: MStmt) -> MStmt:
-    """Re-associate sequences to the right; idempotent, order preserving."""
-    parts = mseq_list(s)
-    parts = [
-        replace(p, then=mnormalize(p.then), els=mnormalize(p.els))
-        if isinstance(p, MIf)
-        else p
-        for p in parts
-    ]
-    return mseq(parts)
+mseq = partial(seq, Seq=MSeq, Skip=MSkip)
+mseq_list = partial(seq_list, Seq=MSeq)

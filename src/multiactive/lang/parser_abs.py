@@ -34,13 +34,8 @@ from .parser_base import ParserBase
 
 
 class AbsParser(ParserBase):
-    def program(self) -> AbsProgram:
-        classes = []
-        while self.at("class"):
-            classes.append(self.class_decl())
-        locals_, body = self.block()
-        self.expect("EOF")
-        return AbsProgram(tuple(classes), locals_, body)
+    Program, Skip, Return, If, Assign = AbsProgram, ASkip, AReturn, AIf, AAssign
+    seq = staticmethod(aseq)
 
     def class_decl(self) -> AbsClass:
         pos = self.expect("class").pos
@@ -64,58 +59,14 @@ class AbsParser(ParserBase):
         locals_, body = self.block()
         return AbsMethod(name, params, locals_, body, pos=pos)
 
-    def block(self):
-        self.expect("{")
-        locals_ = ()
-        if self.accept("vars"):
-            locals_ = self.ident_list()
-            self.expect(";")
-        body = self.stmt_seq()
-        self.expect("}")
-        return locals_, body
-
-    def stmt_block(self):
-        self.expect("{")
-        body = self.stmt_seq()
-        self.expect("}")
-        return body
-
-    def stmt_seq(self):
-        stmts = []
-        while not self.at("}"):
-            stmts.append(self.stmt())
-            if not self.accept(";"):
-                break
-        return aseq(stmts)
-
-    def stmt(self):
-        t = self.cur
-        if t.kind == "skip":
-            self.advance()
-            return ASkip(pos=t.pos)
+    def own_stmt(self, t):
         if t.kind == "suspend":
             self.advance()
             return ASuspend(pos=t.pos)
-        if t.kind == "return":
-            self.advance()
-            return AReturn(self.expr(), pos=t.pos)
         if t.kind == "await":
             self.advance()
             return AAwait(self.guard(), pos=t.pos)
-        if t.kind == "if":
-            self.advance()
-            self.expect("(")
-            cond = self.expr()
-            self.expect(")")
-            then = self.stmt_block()
-            self.expect("else")
-            els = self.stmt_block()
-            return AIf(cond, then, els, pos=t.pos)
-        if t.kind == "IDENT" and self.peek().kind == "=":
-            target = self.advance().text
-            self.expect("=")
-            return AAssign(target, self.rhs(), pos=t.pos)
-        self.fail(f"expected statement, found {t.text or t.kind!r}")
+        return None
 
     def guard(self):
         g = self.guard_term()

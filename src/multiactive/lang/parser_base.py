@@ -1,4 +1,8 @@
-"""Token cursor and expression parsing shared by both parsers."""
+"""What both parsers share: the token cursor, expressions, and programs,
+blocks and the statements both languages write alike (``skip``,
+``return``, ``if``, assignment). Each parser names its node classes and
+its ``seq`` builder, and supplies ``class_decl``, ``rhs`` and
+``own_stmt(token)``: its other statements, or None."""
 
 from __future__ import annotations
 
@@ -17,6 +21,8 @@ _TIERS = [
 
 
 class ParserBase:
+    Program = Skip = Return = If = Assign = seq = None  # set by each parser
+
     def __init__(self, text: str, filename: str = "<input>"):
         self.filename = filename
         self.toks = tokenize(text, filename)
@@ -65,6 +71,67 @@ class ParserBase:
         while self.accept(","):
             names.append(self.expect("IDENT").text)
         return tuple(names)
+
+    # -- programs and statements -------------------------------------------
+
+    def program(self):
+        classes = []
+        while self.at("class"):
+            classes.append(self.class_decl())
+        locals_, body = self.block()
+        self.expect("EOF")
+        return self.Program(tuple(classes), locals_, body)
+
+    def block(self):
+        self.expect("{")
+        locals_ = ()
+        if self.accept("vars"):
+            locals_ = self.ident_list()
+            self.expect(";")
+        body = self.stmt_seq()
+        self.expect("}")
+        return locals_, body
+
+    def stmt_block(self):
+        """A braced statement list without local declarations (if branches)."""
+        self.expect("{")
+        body = self.stmt_seq()
+        self.expect("}")
+        return body
+
+    def stmt_seq(self):
+        stmts = []
+        while not self.at("}"):
+            stmts.append(self.stmt())
+            if not self.accept(";"):
+                break
+        return self.seq(stmts)
+
+    def stmt(self):
+        t = self.cur
+        if t.kind == "skip":
+            self.advance()
+            return self.Skip(pos=t.pos)
+        if t.kind == "return":
+            self.advance()
+            return self.Return(self.expr(), pos=t.pos)
+        if t.kind == "if":
+            self.advance()
+            self.expect("(")
+            cond = self.expr()
+            self.expect(")")
+            then = self.stmt_block()
+            self.expect("else")
+            els = self.stmt_block()
+            return self.If(cond, then, els, pos=t.pos)
+        if t.kind == "IDENT" and self.peek().kind == "=":
+            target = self.advance().text
+            self.expect("=")
+            return self.Assign(target, self.rhs(), pos=t.pos)
+        s = self.own_stmt(t)
+        if s is None:
+            self.fail(f"expected statement, found {t.text or t.kind!r}")
+        return s
 
     # -- expressions -------------------------------------------------------
 

@@ -43,13 +43,8 @@ from .parser_base import ParserBase
 
 
 class MaspParser(ParserBase):
-    def program(self) -> MaspProgram:
-        classes = []
-        while self.at("class"):
-            classes.append(self.class_decl())
-        locals_, body = self.block()
-        self.expect("EOF")
-        return MaspProgram(tuple(classes), locals_, body)
+    Program, Skip, Return, If, Assign = MaspProgram, MSkip, MReturn, MIf, MAssign
+    seq = staticmethod(mseq)
 
     def class_decl(self) -> MaspClass:
         pos = self.expect("class").pos
@@ -143,59 +138,11 @@ class MaspParser(ParserBase):
                 break
         return tuple(params), vararg
 
-    def block(self):
-        self.expect("{")
-        locals_ = ()
-        if self.accept("vars"):
-            locals_ = self.ident_list()
-            self.expect(";")
-        body = self.stmt_seq()
-        self.expect("}")
-        return locals_, body
-
-    def stmt_block(self):
-        """A braced statement list without local declarations (if branches)."""
-        self.expect("{")
-        body = self.stmt_seq()
-        self.expect("}")
-        return body
-
-    def stmt_seq(self):
-        stmts = []
-        while not self.at("}"):
-            stmts.append(self.stmt())
-            if not self.accept(";"):
-                break
-        return mseq(stmts)
-
-    def stmt(self):
-        t = self.cur
-        if t.kind == "skip":
+    def own_stmt(self, t):
+        if t.kind in ("setLimitSoft", "setLimitHard"):
             self.advance()
-            return MSkip(pos=t.pos)
-        if t.kind == "setLimitSoft":
-            self.advance()
-            return MSetLimit("S", pos=t.pos)
-        if t.kind == "setLimitHard":
-            self.advance()
-            return MSetLimit("H", pos=t.pos)
-        if t.kind == "return":
-            self.advance()
-            return MReturn(self.expr(), pos=t.pos)
-        if t.kind == "if":
-            self.advance()
-            self.expect("(")
-            cond = self.expr()
-            self.expect(")")
-            then = self.stmt_block()
-            self.expect("else")
-            els = self.stmt_block()
-            return MIf(cond, then, els, pos=t.pos)
-        if t.kind == "IDENT" and self.peek().kind == "=":
-            target = self.advance().text
-            self.expect("=")
-            return MAssign(target, self.rhs(), pos=t.pos)
-        self.fail(f"expected statement, found {t.text or t.kind!r}")
+            return MSetLimit("H" if t.kind == "setLimitHard" else "S", pos=t.pos)
+        return None
 
     def rhs(self):
         t = self.cur

@@ -53,7 +53,7 @@ from .lang.ast_expr import RuntimeVal
 from .masp.engine import initial_config
 from .masp.steps import apply_step, enabled_steps
 from .translate import _pick_prefix, detect_future_of_future, translate_program
-from .values import UNRESOLVED, ObjRef
+from .values import ObjRef
 
 AUX_BOUND = 16  # longest silent chain: remote-new registration, ~14 steps
 
@@ -297,17 +297,6 @@ def _label_priority(mcn, label) -> int:
     return _SILENT_FIRST.get(label.rule, 7)
 
 
-def _quick_mismatch(abs_succ, mcn) -> bool:
-    """Cheap necessary condition before a full equivalence check."""
-    n_abs = sum(1 for v in abs_succ.futures.values() if v is UNRESOLVED)
-    n_masp = sum(
-        1
-        for b in mcn.futures.values()
-        if not b.resolved and b.method == "execute"
-    )
-    return n_abs != n_masp
-
-
 def _match_forward(abs_succ, mcn, ctx, step_cog, bound):
     """Find a silent multi-active sequence reaching an equivalent config.
 
@@ -319,10 +308,9 @@ def _match_forward(abs_succ, mcn, ctx, step_cog, bound):
     stack = [(mcn, [])]
     while stack:
         cfg, path = stack.pop()
-        if not _quick_mismatch(abs_succ, cfg):
-            ok, _, ctx2 = config_equiv(abs_succ, cfg, ctx)
-            if ok:
-                return cfg, path, ctx2
+        ok, _, ctx2 = config_equiv(abs_succ, cfg, ctx)
+        if ok:
+            return cfg, path, ctx2
         if len(path) >= bound:
             continue
         labels = _allowed_masp_labels(_labels(cfg, enabled_steps), step_cog, base_activities)

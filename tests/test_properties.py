@@ -3,14 +3,14 @@
 from hypothesis import given, settings, strategies as st
 
 from multiactive.lang import parse_abs, parse_masp, pretty_abs, pretty_masp
-from multiactive.lang.ast_expr import Binop, Lit, Unop, Var
+from multiactive.lang.ast_expr import Binop, Lit, Unop, Var, normalize
 from multiactive.lang.ast_masp import (
     MAssign,
     MaspProgram,
+    MIf,
     MReturn,
     MSeq,
     MSkip,
-    mnormalize,
     mseq,
     mseq_list,
 )
@@ -62,8 +62,8 @@ def test_expression_print_parse_round_trip(e):
 @given(seq_trees())
 @settings(max_examples=200, deadline=None)
 def test_normalization_idempotent_and_order_preserving(tree):
-    once = mnormalize(tree)
-    assert mnormalize(once) == once
+    once = normalize(tree, MSeq, MSkip, MIf)
+    assert normalize(once, MSeq, MSkip, MIf) == once
     assert mseq_list(once) == mseq_list(tree)
     # normal form: no sequence in head position anywhere
     node = once

@@ -1,10 +1,13 @@
 """Parsers, printers and well-formedness."""
 
+import dataclasses
+import hashlib
 import random
 
 import pytest
 
-from genprog import gen_abs_program, gen_masp_program
+from genprog import gen_abs_program, gen_masp_program, gen_runnable_abs, gen_runnable_masp
+from multiactive import corpus_path
 from multiactive.diagnostics import ParseError
 from multiactive.lang import (
     check_wellformed,
@@ -13,10 +16,13 @@ from multiactive.lang import (
     pretty_abs,
     pretty_masp,
 )
-from multiactive.lang.ast_abs import AAwait, GAnd, GFut, anormalize, aseq_list
-from multiactive.lang.ast_masp import MSeq, MSkip, mnormalize, mseq_list
+from multiactive.lang.ast_abs import AAwait, AIf, ASeq, ASkip, GAnd, GFut, aseq_list
+from multiactive.lang.ast_expr import normalize
+from multiactive.lang.ast_masp import MIf, MSeq, MSkip, mseq_list
 
-from conftest import load_masp
+from multiactive.translate import TranslateError, translate_program
+
+from conftest import ABS_CORPUS, MASP_CORPUS, load_masp
 
 
 def test_minimal_program():
@@ -72,22 +78,22 @@ def test_sequence_normalization_idempotent():
     for _ in range(100):
         p = gen_masp_program(rng)
         body = p.main_body
-        once = mnormalize(body)
-        assert mnormalize(once) == once
+        once = normalize(body, MSeq, MSkip, MIf)
+        assert normalize(once, MSeq, MSkip, MIf) == once
         # normalization preserves the statement sequence
         assert mseq_list(once) == mseq_list(body)
     for _ in range(100):
         p = gen_abs_program(rng)
-        once = anormalize(p.main_body)
-        assert anormalize(once) == once
+        once = normalize(p.main_body, ASeq, ASkip, AIf)
+        assert normalize(once, ASeq, ASkip, AIf) == once
 
 
 def test_deep_seq_right_association():
-    from multiactive.lang.ast_masp import MAssign, mnormalize
+    from multiactive.lang.ast_masp import MAssign
     from multiactive.lang.ast_expr import Lit
 
     left_heavy = MSeq(MSeq(MAssign("x", Lit(1)), MAssign("x", Lit(2))), MSkip())
-    norm = mnormalize(left_heavy)
+    norm = normalize(left_heavy, MSeq, MSkip, MIf)
     assert isinstance(norm, MSeq)
     assert not isinstance(norm.first, MSeq)
     assert [type(s).__name__ for s in mseq_list(norm)] == [
@@ -254,3 +260,84 @@ def test_diagnostics_pinned_in_order():
         "<input>:14:15: class A takes 1 arguments, got 2",
         "<input>:14:42: undefined class C",
     ]
+
+
+# -- the front end, pinned -----------------------------------------------------
+
+
+def _tree(x) -> str:
+    """A syntax tree written out in full: every field, ``pos`` and
+    ``origin`` included, a frozenset's members in sorted order (so that
+    ``GroupPolicy.compatible_pairs`` reads the same under any hash seed)."""
+    if dataclasses.is_dataclass(x):
+        inner = ", ".join(_tree(getattr(x, f.name)) for f in dataclasses.fields(x))
+        return f"{type(x).__name__}({inner})"
+    if isinstance(x, tuple):
+        return "(" + ", ".join(map(_tree, x)) + ")"
+    if isinstance(x, frozenset):
+        return "{" + ", ".join(sorted(map(_tree, x))) + "}"
+    return repr(x)
+
+
+_FRONT_ENDS = {
+    "masp": (parse_masp, pretty_masp, MASP_CORPUS, gen_masp_program, gen_runnable_masp),
+    "abs": (parse_abs, pretty_abs, ABS_CORPUS, gen_abs_program, gen_runnable_abs),
+}
+
+# sha256 per part of `_front_end_parts`, per language
+FRONT_END_PINS = {
+    "masp": {
+        "trees": "955a36e46f361cd36963d9d7ab40505fb32fe1e504e492f9d9bf9bfe4ec83fde",
+        "text": "eeff33c606c53f30fb68d7474d36cb0549f2d437f4f1859d7a25588b6dfc0430",
+        "diagnostics": "10cc3c382b13ad9246b74708d03528d294522c558727bd2ed4a242bfb7cf0c3f",
+        "errors": "4a70f09c277862ac3ec1591dea74dee608541778a08db0765c35b97b39c7b58e",
+    },
+    "abs": {
+        "trees": "3d92554dab86aeab90b4bb6ad0f6fc2666b93e0c7ecf3903a2ec2d04cc633c86",
+        "text": "6b8dc11a98e5d996bd892d7e09cecf62224e8899c80dcefd9196924b89451eb5",
+        "diagnostics": "4fea5e6a3ec5f5474a26d858bc77b6d7bd3ab864ea02d988683fdc648602b248",
+        "errors": "333d1037db7ba20cf89863f6e768054433b774c7389958fce195404841708ac2",
+        "translations": "679cbb6ce4c2e9232895b9327c61b6977c8bfeb437bf57855ef091488fc5a527",
+    },
+}
+
+
+def _front_end_parts(lang: str) -> dict:
+    """What the front end makes of the corpus and of 40 generated programs
+    of each kind, each printed and read back: the parse trees with their
+    positions, the printed text, the well-formedness diagnostics and (for
+    ``.abs``) the translation, as a tree and printed, plus the parse error at every 7th
+    character at which a corpus source is cut short."""
+    parse, pretty, corpus, gen_rich, gen_runnable = _FRONT_ENDS[lang]
+    sources = [(name, corpus_path(name).read_text()) for name in corpus]
+    for gen in (gen_rich, gen_runnable):
+        sources += [("<gen>", pretty(gen(random.Random(seed)))) for seed in range(40)]
+    parts = {"trees": [], "text": [], "diagnostics": [], "errors": []}
+    if lang == "abs":
+        parts["translations"] = []
+    for name, text in sources:
+        p = parse(text, name)
+        parts["trees"].append(_tree(p))
+        parts["text"].append(pretty(p))
+        diags = [str(d) for d in check_wellformed(p)]
+        parts["diagnostics"].append("\n".join(diags))
+        if lang == "abs" and not diags:
+            try:
+                t = translate_program(p)
+                parts["translations"].append(_tree(t) + pretty_masp(t))
+            except TranslateError as err:
+                parts["translations"].append("\n".join(map(str, err.diagnostics)))
+    for name, text in sources[: len(corpus)]:
+        for cut in range(0, len(text), 7):
+            try:
+                parts["errors"].append(_tree(parse(text[:cut], name)))
+            except ParseError as err:
+                parts["errors"].append(str(err))
+    return {
+        k: hashlib.sha256("\0".join(v).encode()).hexdigest() for k, v in parts.items()
+    }
+
+
+@pytest.mark.parametrize("lang", sorted(_FRONT_ENDS))
+def test_front_end_output_pinned(lang):
+    assert _front_end_parts(lang) == FRONT_END_PINS[lang]

@@ -7,7 +7,7 @@ from multiactive.absm.steps import abs_apply_step, abs_enabled_steps
 from multiactive.lang import check_wellformed, parse_abs, parse_masp, pretty_masp
 from multiactive.lang.ast_masp import mseq
 from multiactive.lang.parser_abs import AbsParser
-from multiactive.lang.pretty import _pp_masp_body
+from multiactive.lang.pretty import _pp_body
 from multiactive.translate import (
     TranslateError,
     TranslationContext,
@@ -82,7 +82,7 @@ def _translate_one(src: str) -> str:
     ctx = TranslationContext(scope=("x", "y", "z", "e", "e1", "e2", "v"))
     out = translate_statement(stmt, ctx)
     lines = []
-    _pp_masp_body(mseq(out), "", lines)
+    _pp_body(mseq(out), "", lines)
     return "\n".join(lines)
 
 
