@@ -97,13 +97,15 @@ def _cmd_explore(args) -> int:
         sem.initial(program), depth=args.depth, width=args.width, properties=sem.properties
     )
     if args.format == "json":
-        print(json.dumps(result.to_json(), indent=2, sort_keys=True))
+        # the stop reason rides beside to_json(), whose keys pinned explorations hash
+        print(json.dumps({**result.to_json(), "stop": result.stop}, indent=2, sort_keys=True))
     else:
         _emit(
             {
                 "states_visited": result.states_visited,
                 "transitions": result.transitions,
                 "truncated": result.frontier_truncated,
+                "stop": result.stop,
                 "terminal_states": len(result.terminal_states),
                 "violations": len(result.property_violations),
             },

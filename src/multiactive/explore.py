@@ -9,6 +9,7 @@ deterministic, so the same input always gives the same counts.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 from .absm.engine import semantics as abs_semantics
@@ -37,10 +38,45 @@ def default_properties(config) -> tuple:
     return semantics_of(config).properties
 
 
+def levels(roots, key, admit, expand, depth, width):
+    """Breadth-first search, level by level, from ``roots`` (level 0).
+
+    Each distinct ``key(item)`` is admitted once, at its least level, in
+    discovery order: ``admit(item, key, level)`` returns the item to keep.
+    Items are expanded lazily, in order, each dropped once expanded;
+    ``expand(item)`` gives its successor items. Items at level ``depth``
+    are admitted but not expanded. Admitting the ``width``-th key (the
+    roots count) ends the search before any further expansion. Returns
+    the seen keys and why it stopped: "exhausted", "depth" or "width"."""
+    seen = set()
+    found, roots = roots, None  # a root too is dropped once expanded
+    for level_no in range(depth + 1):
+        level, known = deque(), len(seen)
+        for item in found:
+            k = key(item)
+            if k in seen:
+                continue
+            seen.add(k)
+            item = admit(item, k, level_no)
+            if len(seen) >= width:
+                return seen, "width"
+            if level_no < depth:
+                level.append(item)
+        if len(seen) == known:
+            return seen, "exhausted"
+        found = _expanded(level, expand)
+    return seen, "depth"
+
+
+def _expanded(level, expand):
+    while level:
+        yield from expand(level.popleft())
+
+
 @dataclass
 class ExplorationResult:
     states_visited: int = 0
-    frontier_truncated: bool = False
+    stop: str = "exhausted"  # or the bound that ended it: "depth" or "width"
     terminal_states: list = field(default_factory=list)
     property_violations: list = field(default_factory=list)
     transitions: int = 0
@@ -48,6 +84,10 @@ class ExplorationResult:
     @property
     def ok(self) -> bool:
         return not self.property_violations
+
+    @property
+    def frontier_truncated(self) -> bool:
+        return self.stop != "exhausted"
 
     def to_json(self) -> dict:
         return {
@@ -62,28 +102,14 @@ class ExplorationResult:
         }
 
 
-def _expand(config, sem, properties):
-    succs = []
-    notes = []
-    for label in sem.enabled(config):
-        succ = sem.apply(config, label)
-        for prop in properties:
-            if prop.transition is not None:
-                for msg in prop.transition(config, succ, label):
-                    notes.append((prop.name, label, msg))
-        succs.append((label, succ, sem.digest(succ)))
-    return succs, notes
-
-
 def explore(config, depth: int = 50, width: int = 100000, properties=()) -> ExplorationResult:
-    """BFS up to ``depth`` levels or ``width`` distinct canonical states
-    (the root counts, so at least one)."""
+    """BFS through ``levels``, up to ``depth`` levels or ``width`` distinct
+    canonical states; an item is (configuration, digest, its parents entry)."""
     sem = semantics_of(config)
     result = ExplorationResult()
-    root = sem.digest(config)
-    parents = {root: None}  # digest -> (parent digest, label)
-    frontier = [(config, root)]
-    visited = 1
+    parents = {}  # digest -> (parent digest, label), None for the root
+    state_props = [p for p in properties if p.state is not None]
+    step_props = [p for p in properties if p.transition is not None]
 
     def witness(digest) -> list:
         path = []
@@ -92,58 +118,34 @@ def explore(config, depth: int = 50, width: int = 100000, properties=()) -> Expl
             path.append(label.key())
         return list(reversed(path))
 
-    def check_state(cfg, digest):
-        for prop in properties:
-            if prop.state is not None:
-                for msg in prop.state(cfg):
-                    result.property_violations.append(
-                        {
-                            "property": prop.name,
-                            "digest": digest,
-                            "detail": msg,
-                            "witness": witness(digest),
-                        }
-                    )
+    def violation(prop, digest, msg, path):
+        result.property_violations.append(
+            {"property": prop, "digest": digest, "detail": msg, "witness": path}
+        )
 
-    check_state(config, root)
-    for _ in range(depth):
-        if not frontier:
-            break
-        next_frontier = []
-        for cfg, digest in frontier:
-            succs, notes = _expand(cfg, sem, properties)
-            for prop_name, label, msg in notes:
-                result.property_violations.append(
-                    {
-                        "property": prop_name,
-                        "digest": digest,
-                        "detail": msg,
-                        "witness": witness(digest) + [label.key()],
-                    }
-                )
-            if not succs:
-                stuck = 0 if sem.stuck is None else len(sem.stuck(cfg))
-                result.terminal_states.append((digest, len(sem.unresolved(cfg)), stuck))
-                continue
-            result.transitions += len(succs)
-            for label, succ, sd in succs:
-                if sd in parents:
-                    continue
-                if visited >= width:  # only when width < 2: the root filled it
-                    break
-                parents[sd] = (digest, label)
-                visited += 1
-                check_state(succ, sd)
-                next_frontier.append((succ, sd))
-                if visited >= width:
-                    break
-            if visited >= width:
-                break
-        if visited >= width:
-            result.frontier_truncated = True
-            break
-        frontier = next_frontier
-    else:
-        result.frontier_truncated = bool(frontier)
-    result.states_visited = visited
+    def admit(item, digest, level):
+        parents[digest] = item[2]
+        for prop in state_props:
+            for msg in prop.state(item[0]):
+                violation(prop.name, digest, msg, witness(digest))
+        return item
+
+    def expand(item):
+        cfg, digest, _ = item
+        succs = []
+        for label in sem.enabled(cfg):
+            succ = sem.apply(cfg, label)
+            for prop in step_props:
+                for msg in prop.transition(cfg, succ, label):
+                    violation(prop.name, digest, msg, witness(digest) + [label.key()])
+            succs.append((succ, sem.digest(succ), (digest, label)))
+        if not succs:
+            stuck = 0 if sem.stuck is None else len(sem.stuck(cfg))
+            result.terminal_states.append((digest, len(sem.unresolved(cfg)), stuck))
+        result.transitions += len(succs)
+        return succs
+
+    roots = [(config, sem.digest(config), None)]
+    seen, result.stop = levels(roots, lambda item: item[1], admit, expand, depth, width)
+    result.states_visited = len(seen)
     return result

@@ -9,13 +9,8 @@ step is matched by a sequence of multi-active steps (the prescribed rule
 sequence first, then a bounded search over silent steps) reaching an
 equivalent configuration. Backward: every multi-active step of the
 translation maps to at most one observable cooperative rule plus listed
-auxiliaries. The matched pairs form the next level.
-
-A pair's level is its depth, so every pair is checked once, at its least
-depth. ``depth`` bounds the levels: pairs at that level are counted but
-not checked. ``width`` bounds the distinct pairs counted, the initial one
-included. ``SimulationReport.stop`` says which bound ended the search,
-if either did.
+auxiliaries. The matched pairs form the next level. ``explore.levels``
+decides the levels, both bounds and ``SimulationReport.stop``.
 
 Synchronous calls, ``suspend`` and boolean await guards lie outside the
 proved fragment (``OUTSIDE``); branches through them are flagged and
@@ -40,7 +35,6 @@ levels refers to it.
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass, field
 
 from .absm.engine import abs_initial_config
@@ -48,6 +42,7 @@ from .absm.runtime import RGFut
 from .absm.steps import abs_apply_step, abs_enabled_steps, split_guard
 from .canon import abs_digest, masp_digest
 from .equiv import EquivContext, config_equiv
+from .explore import levels
 from .lang.ast_abs import GBool, AbsProgram
 from .lang.ast_expr import RuntimeVal
 from .masp.engine import initial_config
@@ -136,52 +131,52 @@ class SimulationReport:
 
 
 def _check(direction, p, depth, width, check_steps) -> SimulationReport:
-    """Search the pairs level by level from the initial one.
-    ``check_steps(report, cn, mcn, ctx)`` checks every step that the
-    driving side can take from a pair and returns the matched successor
-    pairs. The pairs of the level being built are held, and each pair of
-    the level before is dropped once it is checked. The canonical
-    configuration objects of both levels are held, by digest."""
+    """Search the pairs from the initial one with ``explore.levels``,
+    keyed on the two digests. ``check_steps(report, cn, mcn, ctx)``
+    checks every step that the driving side can take from a pair and
+    returns the matched successor pairs. The configurations admitted in
+    the level being expanded and in the next are held, by digest."""
     t0 = time.monotonic()
     report = SimulationReport(direction)
-    cn, mcn = abs_initial_config(p), initial_config(translate_program(p))
-    ctx = EquivContext(prefix=_pick_prefix(p))
-    ok, reason, ctx = config_equiv(cn, mcn, ctx, relaxed=direction == "backward")
-    if not ok:
-        side = "abs_rule" if direction == "forward" else "masp_rule"
-        report.failures.append({side: "initial", "found": reason})
+    tables = {}  # level -> {digest: the configuration admitted under it}
 
-    def checked(level):
-        while level:
-            yield from check_steps(report, *level.popleft())
+    def admit(pair, key, level):
+        if level == depth:
+            return pair  # counted, not checked
+        admitted, before = tables.setdefault(level, {}), tables.get(level - 1, {})
+        cn = _shared(pair[0], key[0], admitted, before)
+        return cn, _shared(pair[1], key[1], admitted, before), pair[2], level
 
-    seen = set()
-    found = [(cn, mcn, ctx)] if ok else []
-    admitted = {}
-    for level_no in range(depth + 1):
-        level = deque()
-        before, admitted = admitted, {}
-        for cn, mcn, ctx in found:
-            key = (abs_digest(cn), masp_digest(mcn))
-            if key in seen:
-                continue
-            seen.add(key)
-            if len(seen) >= width:
-                report.stop = "width"
-                break
-            if level_no == depth:
-                report.stop = "depth"  # counted, not checked
-            else:
-                cn = _shared(cn, key[0], admitted, before)
-                level.append((cn, _shared(mcn, key[1], admitted, before), ctx))
-        if report.stop == "width" or not level:
-            break
-        found = checked(level)
+    def expand(pair):
+        tables.pop(pair[3] - 1, None)  # its level is admitted whole: drop the one before
+        return check_steps(report, *pair[:3])
+
+    seen, report.stop = levels(
+        _initial_pairs(report, p),
+        lambda pair: (abs_digest(pair[0]), masp_digest(pair[1])),
+        admit,
+        expand,
+        depth,
+        width,
+    )
     report.states = len(seen)
     report.abs_states = len({a for a, _ in seen})
     report.masp_states = len({m for _, m in seen})
     report.elapsed = time.monotonic() - t0
     return report
+
+
+def _initial_pairs(report, p):
+    """The initial pair, if its sides are equivalent; ``_check`` must not
+    hold it, as its successor memos reach every configuration after it."""
+    cn, mcn = abs_initial_config(p), initial_config(translate_program(p))
+    ctx = EquivContext(prefix=_pick_prefix(p))
+    ok, reason, ctx = config_equiv(cn, mcn, ctx, relaxed=report.direction == "backward")
+    if ok:
+        return [(cn, mcn, ctx)]
+    side = "abs_rule" if report.direction == "forward" else "masp_rule"
+    report.failures.append({side: "initial", "found": reason})
+    return []
 
 
 def _shared(config, digest, admitted, before):

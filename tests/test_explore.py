@@ -11,6 +11,7 @@ from multiactive.explore import (
     Property,
     default_properties,
     explore,
+    levels,
     semantics_of,
 )
 from multiactive.lang import parse_masp
@@ -23,6 +24,7 @@ from multiactive.translate import translate_program
 from multiactive.values import FutRef
 
 from conftest import load_abs, load_masp
+from test_simulate import _reference_states
 
 
 def test_empty_main_tiny_state_space():
@@ -194,7 +196,86 @@ def test_width_caps_the_states_reported():
     for width in (0, 1, 2, 3):
         r = explore(cfg, depth=60, width=width, properties=default_properties(cfg))
         assert r.states_visited == max(width, 1)
-        assert r.frontier_truncated
+        assert r.frontier_truncated and r.stop == "width"
+        if width < 2:  # the root fills the width: it is not expanded
+            assert r.transitions == 0 and r.terminal_states == []
+
+
+# a cycle 1 -> 2 -> 3 -> 1, with 3 -> 4 -> 5 and the second root 4
+GRAPH = {1: (2,), 2: (3,), 3: (1, 4), 4: (5,), 5: ()}
+
+
+def _levels(depth, width):
+    """``levels`` over GRAPH from the roots 1 and 4; the admitted
+    (key, level) pairs and the expanded keys, in order, beside its result."""
+    admitted, expanded = [], []
+
+    def admit(item, key, level):
+        admitted.append((key, level))
+        return item
+
+    def expand(item):
+        expanded.append(item)
+        return GRAPH[item]
+
+    seen, stop = levels([1, 4], lambda n: n, admit, expand, depth, width)
+    return seen, stop, admitted, expanded
+
+
+def test_levels_admits_each_key_once_at_its_least_level():
+    seen, stop, admitted, expanded = _levels(10, 100)
+    assert stop == "exhausted" and seen == set(GRAPH)
+    # 4 and 1 are reached again at deeper levels, and not re-admitted
+    assert admitted == [(1, 0), (4, 0), (2, 1), (5, 1), (3, 2)]
+    assert expanded == [1, 4, 2, 5, 3]
+
+
+def test_levels_admits_but_does_not_expand_the_last_level():
+    seen, stop, admitted, expanded = _levels(1, 100)
+    assert stop == "depth" and seen == {1, 2, 4, 5}
+    assert admitted == [(1, 0), (4, 0), (2, 1), (5, 1)]
+    assert expanded == [1, 4]
+    assert _levels(0, 100)[1:] == ("depth", [(1, 0), (4, 0)], [])
+    # only keys new at the last level make it a depth cut
+    assert _levels(2, 100)[1] == "depth" and _levels(3, 100)[1] == "exhausted"
+
+
+def test_levels_counts_the_roots_in_the_width_and_stops_expanding():
+    for width in (0, 1, 2):  # the roots fill it: nothing is expanded
+        seen, stop, admitted, expanded = _levels(10, width)
+        assert stop == "width" and expanded == []
+        assert len(seen) == len(admitted) == max(width, 1)
+    # the 4th key is admitted by expanding the 2nd item, which ends it there
+    seen, stop, admitted, expanded = _levels(10, 4)
+    assert stop == "width" and seen == {1, 2, 4, 5}
+    assert admitted[-1] == (5, 1) and expanded == [1, 4]
+    # a width the search exhausts first is no cut
+    assert _levels(10, 6)[1] == "exhausted"
+
+
+@pytest.mark.parametrize(
+    "name, depth", [("peer_policy.masp", 16), ("chat.abs", 20), ("mapreduce.abs>masp", 25)]
+)
+def test_explore_visits_the_states_within_the_depth(name, depth):
+    """The states ``explore`` visits at a depth below its width are the
+    states within that many steps of the initial one, by a plain search
+    over every enabled step."""
+    if name.endswith(".masp"):
+        cfg = initial_config(load_masp(name))
+    elif name.endswith(".abs"):
+        cfg = abs_initial_config(load_abs(name))
+    else:
+        cfg = initial_config(translate_program(load_abs(name[: -len(">masp")])))
+    sem = semantics_of(cfg)
+    visited = []
+    record = Property("record", state=lambda c: visited.append(sem.digest(c)) or [])
+    r = explore(cfg, depth=depth, properties=(record,))
+    assert r.stop == "depth" and r.states_visited == len(visited)
+
+    def successors(c):
+        return (sem.apply(c, label) for label in sem.enabled(c))
+
+    assert set(visited) == _reference_states(cfg, depth, successors, sem.digest)
 
 
 # SHA-256 of ``explore(...).to_json()`` (keys sorted) at depth 60 / width

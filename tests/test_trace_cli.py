@@ -69,6 +69,21 @@ def test_cli_explore_exit_codes(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "bounds, stop, states",
+    [(["--depth", "2"], "depth", 3), (["--width", "3"], "width", 3), ([], "exhausted", 3392)],
+)
+def test_cli_explore_says_why_it_stopped(capsys, bounds, stop, states):
+    target = str(corpus_path("peer_policy.masp"))
+    assert cli(["explore", target, *bounds]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert f"stop: {stop}" in lines and f"truncated: {stop != 'exhausted'}" in lines
+    assert cli(["explore", target, *bounds, "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["stop"], payload["states_visited"]) == (stop, states)
+    assert payload["frontier_truncated"] == (stop != "exhausted")
+
+
 def test_cli_check_sim(capsys):
     code = cli(
         [
