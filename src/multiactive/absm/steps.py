@@ -10,6 +10,14 @@ Enumeration defines when a rule is enabled. Every handler first checks
 that its label is one that `_object_labels` gives the object the label
 names, in `explore` mode (a superset of `run` mode's), and then only
 rewrites, so `abs_apply_step` rejects any other label with `EngineFault`.
+`_head_rule` names the rule a running process's head statement enables,
+and `_process_labels` builds its labels; `_call_target` is the one
+delivery check of asynchronous and synchronous calls alike.
+
+Rules with one conclusion share a handler, each keeping its own name,
+label and `_RULES` key: `New-Object` and `New-Cog-Object`, `Await-False`
+and `Suspend`, `Rendez-vous-Comm` and `Rem-Sync-Call`, `Cog-Sync-Call`
+and `Self-Sync-Call`, and the two `*-Sync-Return-Sched` rules.
 
 The rules that rewrite only one object (`_LOCAL`) are memoized on it
 (`_next`, through `steplabel.memo_step`), with the configuration cells
@@ -95,169 +103,139 @@ def _dest(proc) -> Optional[str]:
     return d.name if isinstance(d, FutRef) else None
 
 
-def _insertion_labels(config, ob, rule, mode) -> list:
-    cog = ob.name.cog
-    dest = _dest(ob.active)
-    if mode == "run":
-        return [Label(rule, cog, dest, (ob.name.ident, len(ob.queue)))]
-    return [
-        Label(rule, cog, dest, (ob.name.ident, pos))
-        for pos in range(len(ob.queue) + 1)
-    ]
-
-
 def _process_labels(config, ob, mode) -> list:
+    """The running process's labels: its head statement's rule, with the
+    object's ident and the rule's further ``extra`` items; `Suspend` and
+    `Await-False` once per position the process may re-enter its queue
+    at (only the tail in ``run`` mode)."""
     proc = ob.active
-    head = proc.stmts[0]
-    cog = ob.name.cog
-    dest = _dest(proc)
-    fields, locals_ = ob.fields, proc.locals
-    ident = (ob.name.ident,)
-    if isinstance(head, ASkip):
-        return [Label("Skip", cog, dest, ident)]
-    if isinstance(head, ASuspend):
-        return _insertion_labels(config, ob, "Suspend", mode)
-    if isinstance(head, AIf):
-        v = abs_evaluate(head.cond, fields, locals_)
-        if v is True:
-            return [Label("Cond-True", cog, dest, ident)]
-        if v is False:
-            return [Label("Cond-False", cog, dest, ident)]
+    found = _head_rule(config, ob, proc, proc.stmts[0])
+    if found is None:
         return []
+    rule, more = found
+    cog, dest, ident = ob.name.cog, _dest(proc), ob.name.ident
+    if rule == "Suspend" or rule == "Await-False":
+        end = len(ob.queue)
+        return [
+            Label(rule, cog, dest, (ident, pos))
+            for pos in range(end if mode == "run" else 0, end + 1)
+        ]
+    return [Label(rule, cog, dest, (ident,) + more)]
+
+
+def _head_rule(config, ob, proc, head):
+    """The rule that the head statement enables, with its label's
+    ``extra`` items after the object's ident; None when none is."""
+    if isinstance(head, ASkip):
+        return "Skip", ()
+    if isinstance(head, ASuspend):
+        return "Suspend", ()
+    if isinstance(head, AIf):
+        v = abs_evaluate(head.cond, ob.fields, proc.locals)
+        if v is True:
+            return "Cond-True", ()
+        return ("Cond-False", ()) if v is False else None
     if isinstance(head, AReturn):
-        return _return_labels(config, ob, proc)
+        return _return_rule(config, ob, proc)
     if isinstance(head, AAwait):
-        return _await_labels(config, ob, proc, mode)
+        return _await_rule(config, ob, proc)
     if isinstance(head, AAssign):
-        return _assign_labels(config, ob, proc, head)
+        return _assign_rule(config, ob, proc, head)
     raise EngineFault(f"unknown statement {head!r}")
 
 
-def _await_labels(config, ob, proc, mode) -> list:
+def _await_rule(config, ob, proc):
     first, _ = split_guard(proc.stmts[0].guard)
-    cog = ob.name.cog
-    dest = _dest(proc)
-    ident = (ob.name.ident,)
     if isinstance(first, GBool):
         v = abs_evaluate(first.expr, ob.fields, proc.locals)
         if v is True:
-            return [Label("Await-True", cog, dest, ident)]
-        if v is False:
-            return _insertion_labels(config, ob, "Await-False", mode)
-        return []
+            return "Await-True", ()
+        return ("Await-False", ()) if v is False else None
     if isinstance(first, (GFut, RGFut)):
         if isinstance(first, GFut):
             f = abs_evaluate(Var(first.var), ob.fields, proc.locals)
         else:
             f = first.value
         if not isinstance(f, FutRef):
-            return []
-        val = config.futures.get(f.name, UNRESOLVED)
-        if val is not UNRESOLVED:
-            return [Label("Await-True", cog, dest, ident)]
-        return _insertion_labels(config, ob, "Await-False", mode)
+            return None
+        if config.futures.get(f.name, UNRESOLVED) is UNRESOLVED:
+            return "Await-False", ()
+        return "Await-True", ()
     raise EngineFault(f"unknown guard {first!r}")
 
 
-def _return_labels(config, ob, proc) -> list:
-    v = abs_evaluate(proc.stmts[0].expr, ob.fields, proc.locals)
-    if v is UNDEFINED:
-        return []
-    cog = ob.name.cog
-    dest = _dest(proc)
-    ident = (ob.name.ident,)
+def _return_rule(config, ob, proc):
+    if abs_evaluate(proc.stmts[0].expr, ob.fields, proc.locals) is UNDEFINED:
+        return None
     cont = proc.locals.get("cont")
     if cont is None:
-        if config.futures.get(dest) is not UNRESOLVED:
-            return []
-        return [Label("Return", cog, dest, ident)]
+        if config.futures.get(_dest(proc)) is not UNRESOLVED:
+            return None
+        return "Return", ()
     # a synchronous callee: hand control back to the interrupted caller
     if not isinstance(cont, FutRef):
-        return []
+        return None
     for pos, p in enumerate(ob.queue):
         if p.locals.get("destiny") == cont:
-            return [Label("Self-Sync-Return-Sched", cog, dest, (ob.name.ident, pos))]
+            return "Self-Sync-Return-Sched", (pos,)
     for other in config.objects.values():
-        if other.name.cog == cog and other.name != ob.name and other.active is None:
+        if other.name.cog == ob.name.cog and other.name != ob.name and other.active is None:
             for pos, p in enumerate(other.queue):
                 if p.locals.get("destiny") == cont:
-                    return [
-                        Label(
-                            "Cog-Sync-Return-Sched",
-                            cog,
-                            dest,
-                            (ob.name.ident, other.name.ident, pos),
-                        )
-                    ]
-    return []
+                    return "Cog-Sync-Return-Sched", (other.name.ident, pos)
+    return None
 
 
-def _assign_labels(config, ob, proc, head) -> list:
+def _assign_rule(config, ob, proc, head):
     rhs = head.rhs
-    cog = ob.name.cog
-    dest = _dest(proc)
-    ident = (ob.name.ident,)
     fields, locals_ = ob.fields, proc.locals
     if isinstance(rhs, ANew):
         cls = config.program.cls(rhs.cls)
         if cls is None or len(rhs.args) != len(cls.fields):
-            return []
+            return None
         if abs_evaluate_list(rhs.args, fields, locals_) is None:
-            return []
-        rule = "New-Object" if rhs.local else "New-Cog-Object"
-        return [Label(rule, cog, dest, ident)]
-    if isinstance(rhs, AAsync):
-        target = abs_evaluate(rhs.target, fields, locals_)
-        if not isinstance(target, ObjRef) or target not in config.objects:
-            return []
-        callee = config.objects[target]
-        args = abs_evaluate_list(rhs.args, fields, locals_)
-        if args is None:
-            return []
-        if abs_bind(config.program, target, callee.cls, "f?", rhs.method, args) is None:
-            return []
-        return [Label("Rendez-vous-Comm", cog, dest, ident)]
-    if isinstance(rhs, ASync):
-        return _sync_labels(config, ob, proc, head)
+            return None
+        return ("New-Object" if rhs.local else "New-Cog-Object"), ()
+    if isinstance(rhs, (AAsync, ASync)):
+        callee = _call_target(config, ob, rhs)
+        if callee is None:
+            return None
+        if isinstance(rhs, AAsync):
+            return "Rendez-vous-Comm", ()
+        if callee.name == ob.name:
+            return "Self-Sync-Call", ()
+        if callee.name.cog != ob.name.cog:
+            return "Rem-Sync-Call", ()
+        return ("Cog-Sync-Call", (callee.name.ident,)) if callee.active is None else None
     if isinstance(rhs, AGet):
         f = abs_evaluate(rhs.expr, fields, locals_)
-        if not isinstance(f, FutRef):
-            return []
-        val = config.futures.get(f.name, UNRESOLVED)
-        if val is UNRESOLVED:
-            return []  # blocking read holds the whole cog
-        return [Label("Read-Fut", cog, dest, ident)]
-    v = abs_evaluate(rhs, fields, locals_)
-    if v is UNDEFINED:
-        return []
+        if not isinstance(f, FutRef) or config.futures.get(f.name, UNRESOLVED) is UNRESOLVED:
+            return None  # a blocking read holds the whole cog
+        return "Read-Fut", ()
+    if abs_evaluate(rhs, fields, locals_) is UNDEFINED:
+        return None
     if head.target in locals_:
-        return [Label("Assign-Local", cog, dest, ident)]
+        return "Assign-Local", ()
     if head.target in fields:
-        return [Label("Assign-Field", cog, dest, ident)]
-    return []
+        return "Assign-Field", ()
+    return None
 
 
-def _sync_labels(config, ob, proc, head) -> list:
-    rhs = head.rhs
-    cog = ob.name.cog
-    dest = _dest(proc)
-    fields, locals_ = ob.fields, proc.locals
+def _call_target(config, ob, rhs) -> Optional[Ob]:
+    """The callee of an asynchronous or synchronous call, when the call
+    can be delivered: its target is an object, its arguments evaluate and
+    its method binds on the callee."""
+    fields, locals_ = ob.fields, ob.active.locals
     target = abs_evaluate(rhs.target, fields, locals_)
     if not isinstance(target, ObjRef) or target not in config.objects:
-        return []
+        return None
     args = abs_evaluate_list(rhs.args, fields, locals_)
     if args is None:
-        return []
+        return None
     callee = config.objects[target]
     if abs_bind(config.program, target, callee.cls, "f?", rhs.method, args) is None:
-        return []
-    if target == ob.name:
-        return [Label("Self-Sync-Call", cog, dest, (ob.name.ident,))]
-    if callee.name.cog == cog:
-        if callee.active is not None:
-            return []
-        return [Label("Cog-Sync-Call", cog, dest, (ob.name.ident, target.ident))]
-    return [Label("Rem-Sync-Call", cog, dest, (ob.name.ident,))]
+        return None
+    return callee
 
 
 # -- application -----------------------------------------------------------------
@@ -371,19 +349,13 @@ def _apply_await_true(config, label):
     return config.with_object(ob.update(active=ob.active.with_stmts(stmts)))
 
 
-def _schedule(queue, proc, pos) -> tuple:
-    return queue[:pos] + (proc,) + queue[pos:]
-
-
 def _apply_await_false(config, label):
+    """`Await-False` and `Suspend`: the process re-enters its queue at the
+    label's position, before its guard or past its ``suspend``."""
     ob = _ob(config, label)
-    queue = _schedule(ob.queue, ob.active, label.extra[1])
-    return config.with_object(ob.update(active=None, queue=queue))
-
-
-def _apply_suspend(config, label):
-    ob = _ob(config, label)
-    queue = _schedule(ob.queue, _pop(ob.active), label.extra[1])
+    proc = ob.active if label.rule == "Await-False" else _pop(ob.active)
+    pos = label.extra[1]
+    queue = ob.queue[:pos] + (proc,) + ob.queue[pos:]
     return config.with_object(ob.update(active=None, queue=queue))
 
 
@@ -411,11 +383,19 @@ def _apply_read_fut(config, label):
 
 
 def _apply_new_object(config, label):
+    """`New-Object` and `New-Cog-Object`: the new object joins the
+    caller's cog, or a fresh cog that starts free."""
     ob = _ob(config, label)
     head = ob.active.stmts[0]
-    cog = label.activity
     cls = config.program.cls(head.rhs.cls)
     args = abs_evaluate_list(head.rhs.args, ob.fields, ob.active.locals)
+    if label.rule == "New-Object":
+        cog, kw = label.activity, {}
+    else:
+        cog = f"a{config.cog_counter}"
+        cogs = dict(config.cogs)
+        cogs[cog] = None
+        kw = {"cogs": cogs, "cog_counter": config.cog_counter + 1}
     counters = dict(config.id_counters)
     ident = counters.get(cog, 1)
     counters[cog] = ident + 1
@@ -425,29 +405,7 @@ def _apply_new_object(config, label):
     new_ob = Ob(name, cls.name, fields, None, ())
     stmts = (AAssign(head.target, RuntimeVal(name)),) + ob.active.stmts[1:]
     caller = ob.update(active=ob.active.with_stmts(stmts))
-    return config.with_object(caller, new_ob, id_counters=counters)
-
-
-def _apply_new_cog_object(config, label):
-    ob = _ob(config, label)
-    head = ob.active.stmts[0]
-    cls = config.program.cls(head.rhs.cls)
-    args = abs_evaluate_list(head.rhs.args, ob.fields, ob.active.locals)
-    new_cog = f"a{config.cog_counter}"
-    counters = dict(config.id_counters)
-    ident = counters.get(new_cog, 1)
-    counters[new_cog] = ident + 1
-    name = ObjRef(ident, new_cog)
-    fields = dict(zip(cls.fields, args))
-    fields["cog"] = ActRef(new_cog)
-    new_ob = Ob(name, cls.name, fields, None, ())
-    cogs = dict(config.cogs)
-    cogs[new_cog] = None
-    stmts = (AAssign(head.target, RuntimeVal(name)),) + ob.active.stmts[1:]
-    caller = ob.update(active=ob.active.with_stmts(stmts))
-    return config.with_object(
-        caller, new_ob, cogs=cogs, cog_counter=config.cog_counter + 1, id_counters=counters
-    )
+    return config.with_object(caller, new_ob, id_counters=counters, **kw)
 
 
 def _call_parts(config, ob):
@@ -462,10 +420,16 @@ def _call_parts(config, ob):
     return head, target, fut, bound
 
 
-def _apply_rendez_vous(config, label):
+def _apply_call(config, label):
+    """`Rendez-vous-Comm` and `Rem-Sync-Call`: the request lands in the
+    callee's queue, and the caller goes on with the future, or with a
+    blocking read of it."""
     ob = _ob(config, label)
     head, target, fut, bound = _call_parts(config, ob)
-    stmts = (AAssign(head.target, RuntimeVal(FutRef(fut))),) + ob.active.stmts[1:]
+    value = RuntimeVal(FutRef(fut))
+    if label.rule == "Rem-Sync-Call":
+        value = AGet(value)
+    stmts = (AAssign(head.target, value),) + ob.active.stmts[1:]
     caller = ob.update(active=ob.active.with_stmts(stmts))
     callee = caller if target == ob.name else config.objects[target]
     callee = callee.update(queue=callee.queue + (bound,))
@@ -476,54 +440,24 @@ def _apply_rendez_vous(config, label):
     )
 
 
-def _apply_cog_sync_call(config, label):
+def _apply_local_sync_call(config, label):
+    """`Cog-Sync-Call` and `Self-Sync-Call`: the caller queues its
+    continuation (await the call's future, then read it) and hands its
+    cog to the callee, which may be the caller itself."""
     ob = _ob(config, label)
     head, target, fut, bound = _call_parts(config, ob)
-    bound = bound.with_local("cont", ob.active.locals["destiny"])
-    cont_stmts = (
-        AAwait(RGFut(FutRef(fut))),
-        AAssign(head.target, AGet(RuntimeVal(FutRef(fut)))),
-    ) + ob.active.stmts[1:]
-    continuation = Process(ob.active.locals, cont_stmts)
+    f = FutRef(fut)
+    cont = (AAwait(RGFut(f)), AAssign(head.target, AGet(RuntimeVal(f))))
+    continuation = Process(ob.active.locals, cont + ob.active.stmts[1:])
     caller = ob.update(active=None, queue=ob.queue + (continuation,))
+    callee = caller if target == ob.name else config.objects[target]
+    callee = callee.update(active=bound.with_local("cont", ob.active.locals["destiny"]))
     cogs = dict(config.cogs)
     cogs[label.activity] = target
     futures = dict(config.futures)
     futures[fut] = UNRESOLVED
-    callee = config.objects[target].update(active=bound)
     return config.with_object(
         caller, callee, cogs=cogs, futures=futures, fut_counter=config.fut_counter + 1
-    )
-
-
-def _apply_self_sync_call(config, label):
-    ob = _ob(config, label)
-    head, _, fut, bound = _call_parts(config, ob)
-    bound = bound.with_local("cont", ob.active.locals["destiny"])
-    cont_stmts = (
-        AAwait(RGFut(FutRef(fut))),
-        AAssign(head.target, AGet(RuntimeVal(FutRef(fut)))),
-    ) + ob.active.stmts[1:]
-    continuation = Process(ob.active.locals, cont_stmts)
-    futures = dict(config.futures)
-    futures[fut] = UNRESOLVED
-    ob = ob.update(active=bound, queue=ob.queue + (continuation,))
-    return config.with_object(ob, futures=futures, fut_counter=config.fut_counter + 1)
-
-
-def _apply_rem_sync_call(config, label):
-    ob = _ob(config, label)
-    head, target, fut, bound = _call_parts(config, ob)
-    stmts = (
-        AAssign(head.target, AGet(RuntimeVal(FutRef(fut)))),
-    ) + ob.active.stmts[1:]
-    caller = ob.update(active=ob.active.with_stmts(stmts))
-    futures = dict(config.futures)
-    futures[fut] = UNRESOLVED
-    callee = config.objects[target]
-    callee = callee.update(queue=callee.queue + (bound,))
-    return config.with_object(
-        caller, callee, futures=futures, fut_counter=config.fut_counter + 1
     )
 
 
@@ -543,24 +477,19 @@ def _apply_return(config, label):
     return config.with_object(ob.update(active=None), futures=futures)
 
 
-def _apply_self_sync_return(config, label):
+def _apply_sync_return(config, label):
+    """`Self-Sync-Return-Sched` and `Cog-Sync-Return-Sched`: the callee
+    resolves its destiny and hands its cog to the waiting caller, whose
+    object and queue position close the label's ``extra``; a self-call's
+    caller is the callee itself."""
     ob = _ob(config, label)
-    pos = label.extra[1]
-    futures = _resolve_destiny(config, ob)
-    queue = ob.queue[:pos] + ob.queue[pos + 1 :]
-    ob = ob.update(active=ob.queue[pos], queue=queue)
-    return config.with_object(ob, futures=futures)
-
-
-def _apply_cog_sync_return(config, label):
-    ob = _ob(config, label)
-    other = config.objects[ObjRef(label.extra[1], label.activity)]
-    pos = label.extra[2]
-    futures = _resolve_destiny(config, ob)
+    other = config.objects[ObjRef(label.extra[-2], label.activity)]
+    pos = label.extra[-1]
     queue = other.queue[:pos] + other.queue[pos + 1 :]
+    other = other.update(active=other.queue[pos], queue=queue)
     cogs = dict(config.cogs)
     cogs[label.activity] = other.name
-    other = other.update(active=other.queue[pos], queue=queue)
+    futures = _resolve_destiny(config, ob)
     return config.with_object(ob.update(active=None), other, futures=futures, cogs=cogs)
 
 
@@ -572,19 +501,19 @@ _RULES = {
     "Assign-Field": _apply_assign_field,
     "Await-True": _apply_await_true,
     "Await-False": _apply_await_false,
-    "Suspend": _apply_suspend,
+    "Suspend": _apply_await_false,
     "Release-Cog": _apply_release_cog,
     "Activate": _apply_activate,
     "Read-Fut": _apply_read_fut,
     "New-Object": _apply_new_object,
-    "New-Cog-Object": _apply_new_cog_object,
-    "Rendez-vous-Comm": _apply_rendez_vous,
-    "Cog-Sync-Call": _apply_cog_sync_call,
-    "Self-Sync-Call": _apply_self_sync_call,
-    "Rem-Sync-Call": _apply_rem_sync_call,
+    "New-Cog-Object": _apply_new_object,
+    "Rendez-vous-Comm": _apply_call,
+    "Cog-Sync-Call": _apply_local_sync_call,
+    "Self-Sync-Call": _apply_local_sync_call,
+    "Rem-Sync-Call": _apply_call,
     "Return": _apply_return,
-    "Self-Sync-Return-Sched": _apply_self_sync_return,
-    "Cog-Sync-Return-Sched": _apply_cog_sync_return,
+    "Self-Sync-Return-Sched": _apply_sync_return,
+    "Cog-Sync-Return-Sched": _apply_sync_return,
 }
 
 # the rules that rewrite only their own object, so `abs_apply_step`

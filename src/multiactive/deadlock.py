@@ -15,15 +15,7 @@ from .lang.ast_masp import MAssign, MInvoke
 from .masp.evalfn import evaluate, ground
 from .masp.runtime import MaspConfig
 from .masp.steps import enabled_steps
-from .policy import (
-    ThreadAccount,
-    _group_limit_ok,
-    _pool_ok,
-    _reservation_ok,
-    activate_admissible,
-    compatible,
-    ready,
-)
+from .policy import ThreadAccount, activate_admissible, compatible, limits_admit, ready
 from .values import FutRef, Loc
 
 
@@ -91,45 +83,25 @@ def diagnose_deadlock(config: MaspConfig) -> Diagnosis:
         edges.setdefault(src, set()).add(dst)
         diag.wait_for.append((src, dst))
 
+    def classify(kind, activity, request, detail):
+        diag.classifications.append(
+            {"kind": kind, "activity": activity, "request": request, "detail": detail}
+        )
+
     for name, act in config.activities.items():
         g = lambda v: ground(v, act.store)
         acc = ThreadAccount.of_activity(act)
         for fut, thread in act.current.items():
-            node = f"thread:{name}:{fut}"
+            # passivated and never admissible again, or waiting forever
+            if thread.state == "P" and not activate_admissible(act, fut):
+                classify("thread-starved", name, fut, "activation blocked by thread limits")
             blocking = _blocking_future(act, thread)
-            if thread.state == "P":
-                # passivated and never admissible again, or waiting forever
-                if not activate_admissible(act, fut):
-                    diag.classifications.append(
-                        {
-                            "kind": "thread-starved",
-                            "activity": name,
-                            "request": fut,
-                            "detail": "activation blocked by thread limits",
-                        }
-                    )
-                if blocking is not None:
-                    diag.classifications.append(
-                        {
-                            "kind": "blocked-on-future",
-                            "activity": name,
-                            "request": fut,
-                            "detail": f"wait-by-necessity on {blocking}",
-                        }
-                    )
-                    edge(node, blocking)
-                continue
             if blocking is not None:
-                diag.classifications.append(
-                    {
-                        "kind": "blocked-on-future",
-                        "activity": name,
-                        "request": fut,
-                        "detail": f"wait-by-necessity on {blocking}"
-                        + (" under a hard limit" if act.limit == "H" else ""),
-                    }
-                )
-                edge(node, blocking)
+                detail = f"wait-by-necessity on {blocking}"
+                if thread.state == "A" and act.limit == "H":
+                    detail += " under a hard limit"
+                classify("blocked-on-future", name, fut, detail)
+                edge(f"thread:{name}:{fut}", blocking)
         for idx, q in enumerate(act.queue):
             node = f"queued:{name}:{q.future}"
             if not ready(q, act.current, act.queue[:idx], act.policy, g):
@@ -142,32 +114,13 @@ def diagnose_deadlock(config: MaspConfig) -> Diagnosis:
                     for q2 in act.queue[:idx]
                     if not compatible(q, q2, act.policy, g)
                 ]
-                diag.classifications.append(
-                    {
-                        "kind": "incompatible-forever",
-                        "activity": name,
-                        "request": q.future,
-                        "detail": f"conflicts with {sorted(set(conflicts))}",
-                    }
-                )
+                detail = f"conflicts with {sorted(set(conflicts))}"
+                classify("incompatible-forever", name, q.future, detail)
                 for t_fut, t in act.current.items():
                     if not compatible(q, t.request, act.policy, g):
                         edge(node, t_fut)
-                continue
-            group = act.policy.group_of(q.method)
-            if not (
-                _group_limit_ok(act.policy, acc, group)
-                and _pool_ok(act.policy, acc)
-                and _reservation_ok(act.policy, acc, group)
-            ):
-                diag.classifications.append(
-                    {
-                        "kind": "thread-starved",
-                        "activity": name,
-                        "request": q.future,
-                        "detail": "service blocked by thread limits",
-                    }
-                )
+            elif not limits_admit(act.policy, acc, act.policy.group_of(q.method)):
+                classify("thread-starved", name, q.future, "service blocked by thread limits")
                 for t_fut, t in act.current.items():
                     if t.state == "A":
                         edge(node, t_fut)

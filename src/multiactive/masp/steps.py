@@ -9,6 +9,13 @@ label is one `enabled_steps` offers in `explore` mode (a superset of
 `run` mode's), then only rewrites, so `apply_step` rejects any other
 label with `EngineFault`.
 
+Rules with one conclusion share a handler, each keeping its own name,
+label and `_RULES` key: `_apply_invk_active` serves `Invk-Active` and
+`Invk-Active-Self` (once the caller holds the new future's location, a
+self-call's callee is that caller), as `_apply_set_limit` and
+`_apply_cond` serve their pairs. `_native_enabled` is the one check that
+a native call can bind, for `Serve` and `Invk-Passive` alike.
+
 Every rule but `Update` reads only its own activity and the program, so
 each `Activity` memoizes its own labels and future cells (`_labels`);
 a state adds only the `Update` labels that its futures allow.
@@ -99,35 +106,35 @@ def native_ready(activity, method: str, args: tuple) -> bool:
     return len(args) == NATIVE_ARITY.get(method, -1)
 
 
-def _native_effects(activity, method: str, args: tuple):
-    """Result value and activity updates of a native method, at bind time."""
+def _native_enabled(activity, method: str, args: tuple) -> bool:
+    """A native call binds once its ids are ground, and ``retrieve`` only
+    a registered id: a miss leaves the thread stuck for good (Invariant
+    Reg violated)."""
+    if not native_ready(activity, method, args):
+        return False
+    return method != "retrieve" or ground(args[0], activity.store) in activity.registry
+
+
+def _native_bind(activity, o: Loc, method: str, args: tuple):
+    """Native frame, the computed result behind a plain return statement,
+    and the activity's updates, at bind time."""
     store = activity.store
     if method == "freshId":
-        ident = activity.id_counter
-        return ident, {"id_counter": ident + 1}
-    if method == "register":
-        ident = ground(args[1], store)
+        value = activity.id_counter
+        updates = {"id_counter": value + 1}
+    elif method == "register":
+        value = ground(args[1], store)
         target = args[0]
         if isinstance(target, Loc):
             target = chase(target, store)
         registry = dict(activity.registry)
-        registry[ident] = target
-        return ident, {"registry": registry}
-    if method == "retrieve":
-        ident = ground(args[0], store)
-        if ident not in activity.registry:
-            return None, None  # retrieve miss: permanently stuck thread
-        return activity.registry[ident], {}
-    raise EngineFault(f"unknown native {method}")
-
-
-def _native_bind(activity, o: Loc, method: str, args: tuple):
-    """Native frame: the computed result behind a plain return statement."""
-    value, updates = _native_effects(activity, method, args)
-    if updates is None:
-        return None, None
-    frame = Frame({"this": o}, (MReturn(RuntimeVal(value)),))
-    return frame, updates
+        registry[value] = target
+        updates = {"registry": registry}
+    elif method == "retrieve":
+        value, updates = activity.registry[ground(args[0], store)], {}
+    else:
+        raise EngineFault(f"unknown native {method}")
+    return Frame({"this": o}, (MReturn(RuntimeVal(value)),)), updates
 
 
 # -- enumeration --------------------------------------------------------------
@@ -202,11 +209,7 @@ def _own_labels(config, act) -> tuple:
 
 def _serve_possible(config, act, q) -> bool:
     if is_native(act.cls, q.method):
-        if not native_ready(act, q.method, q.args):
-            return False
-        if q.method == "retrieve" and ground(q.args[0], act.store) not in act.registry:
-            return False
-        return True
+        return _native_enabled(act, q.method, q.args)
     return bindable(config.program, act.cls, q.method, q.args)
 
 
@@ -312,16 +315,12 @@ def _invoke_label(config, act, fut, thread, frame, inv) -> Optional[Label]:
             if args is None:
                 return None
             if is_native(storable.cls, method):
-                if not native_ready(act, method, args):
-                    return None
-                if method == "retrieve" and ground(args[0], act.store) not in act.registry:
-                    return None  # retrieve miss: stuck, Invariant Reg violated
-                return Label("Invk-Passive", name, fut)
-            if storable.cls is None and method in ("cog", "myId", "get") and not args:
-                return Label("Invk-Passive", name, fut)
-            if not bindable(config.program, storable.cls, method, args):
-                return None
-            return Label("Invk-Passive", name, fut)
+                enabled = _native_enabled(act, method, args)
+            elif storable.cls is None and method in ("cog", "myId", "get") and not args:
+                enabled = True  # the classless main object's addressing methods
+            else:
+                enabled = bindable(config.program, storable.cls, method, args)
+            return Label("Invk-Passive", name, fut) if enabled else None
         return None
     if is_primitive(target) and method == "get":
         return Label("Invk-Passive", name, fut)
@@ -385,13 +384,9 @@ def _set_thread(act, thread, **kw) -> Activity:
     return act.update(current=cur, **kw)
 
 
-def _pop_head(thread) -> Thread:
-    frame = thread.stack[0]
-    new_frame = frame.with_stmts(frame.stmts[1:])
-    return Thread(thread.request, thread.state, (new_frame,) + thread.stack[1:])
-
-
 def _replace_head(thread, *stmts) -> Thread:
+    """The thread with its head statement replaced by ``stmts`` (none:
+    popped)."""
     frame = thread.stack[0]
     new_frame = frame.with_stmts(tuple(stmts) + frame.stmts[1:])
     return Thread(thread.request, thread.state, (new_frame,) + thread.stack[1:])
@@ -413,35 +408,28 @@ def _apply_serve(config, label):
         frame, updates = _native_bind(act, act.active_loc, q.method, q.args)
     else:
         frame = bind(config.program, act.active_loc, act.cls, q.method, q.args)
-    thread = Thread(q, "A", (frame,))
-    cur = dict(act.current)
-    cur[q.future] = thread
-    act2 = act.update(
-        current=cur, queue=act.queue[:idx] + act.queue[idx + 1 :], **updates
-    )
+    queue = act.queue[:idx] + act.queue[idx + 1 :]
+    act2 = _set_thread(act, Thread(q, "A", (frame,)), queue=queue, **updates)
     return config.with_activity(act2)
 
 
 def _apply_skip(config, label):
     act, th = _enabled_thread(config, label)
-    return config.with_activity(_set_thread(act, _pop_head(th)))
+    return config.with_activity(_set_thread(act, _replace_head(th)))
 
 
 def _apply_set_limit(config, label):
     act, th = _enabled_thread(config, label)
     kind = "H" if label.rule == "Set-Hard-Limit" else "S"
-    act2 = _set_thread(act, _pop_head(th), limit=kind)
+    act2 = _set_thread(act, _replace_head(th), limit=kind)
     return config.with_activity(act2)
 
 
 def _apply_cond(config, label):
     act, th = _enabled_thread(config, label)
-    frame = th.stack[0]
-    head = frame.stmts[0]
+    head = th.stack[0].stmts[0]
     branch = head.then if label.rule == "Cond-True" else head.els
-    stmts = tuple(mseq_list(branch)) + frame.stmts[1:]
-    th2 = Thread(th.request, th.state, (frame.with_stmts(stmts),) + th.stack[1:])
-    return config.with_activity(_set_thread(act, th2))
+    return config.with_activity(_set_thread(act, _replace_head(th, *mseq_list(branch))))
 
 
 def _apply_assign_local(config, label):
@@ -463,7 +451,7 @@ def _apply_assign_field(config, label):
     v = evaluate(head.rhs, act.store, frame.locals)
     store = dict(act.store)
     store[this_loc] = obj.with_field(head.target, v)
-    act2 = _set_thread(act, _pop_head(th), store=store)
+    act2 = _set_thread(act, _replace_head(th), store=store)
     return config.with_activity(act2)
 
 
@@ -523,60 +511,34 @@ def _invoke_parts(act, th):
 
 
 def _apply_invk_active(config, label):
+    """`Invk-Active` and `Invk-Active-Self`: the caller holds the new
+    future's location first, so a self-call's callee is that caller."""
     act, th = _enabled_thread(config, label)
     frame, head, method, target = _invoke_parts(act, th)
     args = _invoke_args(act, frame, head.rhs)
-    callee = config.activities.get(target.name)
-    _expect(callee is not None, label)
     fut = f"f{config.fut_counter}"
     o_fut = Loc(act.loc_counter + 1)
     store = dict(act.store)
     store[o_fut] = FutRef(fut)
+    th2 = _replace_head(th, replace(head, rhs=RuntimeVal(o_fut)))
+    caller = _set_thread(act, th2, store=store, loc_counter=act.loc_counter + 1)
+    callee = caller if target.name == act.name else config.activities.get(target.name)
+    _expect(callee is not None, label)
     piece = serialise_all(args, act.store)
     args_r, piece_r, counter = rename_disjoint(
         callee.store, args, piece, counter=callee.loc_counter
     )
     callee_store = dict(callee.store)
     callee_store.update(piece_r)
-    callee2 = callee.update(
+    callee = callee.update(
         store=callee_store,
         queue=callee.queue + (Request(fut, method, args_r),),
         loc_counter=counter,
     )
-    th2 = _replace_head(th, replace(head, rhs=RuntimeVal(o_fut)))
-    caller2 = _set_thread(act, th2, store=store, loc_counter=act.loc_counter + 1)
     futures = dict(config.futures)
     futures[fut] = FutBinder(method=method)
     return config.with_activity(
-        caller2, callee2, futures=futures, fut_counter=config.fut_counter + 1
-    )
-
-
-def _apply_invk_active_self(config, label):
-    act, th = _enabled_thread(config, label)
-    frame, head, method, target = _invoke_parts(act, th)
-    args = _invoke_args(act, frame, head.rhs)
-    fut = f"f{config.fut_counter}"
-    o_fut = Loc(act.loc_counter + 1)
-    piece = serialise_all(args, act.store)
-    args_r, piece_r, counter = rename_disjoint(
-        act.store, args, piece, counter=act.loc_counter + 1
-    )
-    store = dict(act.store)
-    store[o_fut] = FutRef(fut)
-    store.update(piece_r)
-    th2 = _replace_head(th, replace(head, rhs=RuntimeVal(o_fut)))
-    act2 = _set_thread(
-        act,
-        th2,
-        store=store,
-        loc_counter=counter,
-        queue=act.queue + (Request(fut, method, args_r),),
-    )
-    futures = dict(config.futures)
-    futures[fut] = FutBinder(method=method)
-    return config.with_activity(
-        act2, futures=futures, fut_counter=config.fut_counter + 1
+        caller, callee, futures=futures, fut_counter=config.fut_counter + 1
     )
 
 
@@ -671,7 +633,7 @@ _RULES = {
     "New-Object": _apply_new_object,
     "New-Active": _apply_new_active,
     "Invk-Active": _apply_invk_active,
-    "Invk-Active-Self": _apply_invk_active_self,
+    "Invk-Active-Self": _apply_invk_active,
     "Invk-Passive": _apply_invk_passive,
     "Invk-Future": _apply_invk_future,
     "Return-Local": _apply_return_local,

@@ -121,20 +121,20 @@ def _group_limit_ok(rp: ResolvedPolicy, acc: ThreadAccount, group) -> bool:
     return acc.per_group_active.get(group, 0) < decl.max_threads
 
 
-def _pool_ok(rp: ResolvedPolicy, acc: ThreadAccount) -> bool:
-    pool = rp.policy.thread_pool_size
-    return pool is None or acc.total_active < pool
-
-
-def _reservation_ok(rp: ResolvedPolicy, acc: ThreadAccount, group) -> bool:
+def limits_admit(rp: ResolvedPolicy, acc: ThreadAccount, group) -> bool:
+    """One more active thread of ``group`` stays within its group's limit
+    and leaves the pool room for every other group's unmet reserved
+    minimum (so the pool has room for it too). Serving a request needs
+    this; deadlock diagnosis calls a ready request that fails it starved."""
+    if not _group_limit_ok(rp, acc, group):
+        return False
     pool = rp.policy.thread_pool_size
     if pool is None:
         return True
     unmet = 0
     for decl in rp.policy.groups:
-        if decl.name == group:
-            continue
-        unmet += max(0, decl.min_threads - acc.per_group_active.get(decl.name, 0))
+        if decl.name != group:
+            unmet += max(0, decl.min_threads - acc.per_group_active.get(decl.name, 0))
     return pool - (acc.total_active + 1) >= unmet
 
 
@@ -145,13 +145,7 @@ def serve_admissible(activity, queue_index: int, ground=lambda v: v) -> bool:
     q = activity.queue[queue_index]
     if not ready(q, activity.current, activity.queue[:queue_index], rp, ground):
         return False
-    acc = ThreadAccount.of_activity(activity)
-    group = rp.group_of(q.method)
-    return (
-        _group_limit_ok(rp, acc, group)
-        and _pool_ok(rp, acc)
-        and _reservation_ok(rp, acc, group)
-    )
+    return limits_admit(rp, ThreadAccount.of_activity(activity), rp.group_of(q.method))
 
 
 def activate_admissible(activity, future: str) -> bool:
@@ -161,8 +155,10 @@ def activate_admissible(activity, future: str) -> bool:
     if thread.state != "P":
         return False
     acc = ThreadAccount.of_activity(activity)
-    group = rp.group_of(thread.request.method)
-    return _group_limit_ok(rp, acc, group) and _pool_ok(rp, acc)
+    pool = rp.policy.thread_pool_size
+    return _group_limit_ok(rp, acc, rp.group_of(thread.request.method)) and (
+        pool is None or acc.total_active < pool
+    )
 
 
 def _priority_level(rp: ResolvedPolicy, group) -> Optional[int]:

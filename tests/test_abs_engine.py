@@ -11,6 +11,7 @@ from multiactive.lang import parse_abs
 from multiactive.lang.ast_abs import AAssign, AAwait, AGet
 from multiactive.lang.ast_expr import Binop, Lit, Var
 from multiactive.canon import abs_digest
+from multiactive.explore import default_properties, explore
 from multiactive.steplabel import Label
 from multiactive.values import UNRESOLVED, EngineFault, FutRef, ObjRef
 
@@ -168,6 +169,15 @@ def test_cog_sync_call_checks_the_callee_id():
         abs_apply_step(cfg, wrong)
     succ = abs_apply_step(cfg, label)
     assert succ.cogs[label.activity] == ObjRef(1, label.activity)
+    # the callee hands its cog back to the waiting caller, and the run ends
+    final, trace = abs_run(abs_initial_config(p), budget=200)
+    assert "abs:Cog-Sync-Return-Sched" in [r.rule for r in trace.records]
+    assert trace.terminal["terminal"]
+    assert trace.terminal["unresolved_futures"] == []
+    start = abs_initial_config(p)
+    res = explore(start, properties=default_properties(start))
+    assert (res.states_visited, res.transitions, res.stop) == (10, 9, "exhausted")
+    assert res.ok
 
 
 def test_return_without_cont_resolves_and_idles():

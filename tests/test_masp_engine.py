@@ -283,6 +283,29 @@ def test_unknown_method_is_stuck_not_crash():
     assert [s[2] for s in stuck] == ["method-missing"]
 
 
+def test_retrieve_of_an_unregistered_id_is_stuck():
+    p = parse_masp(
+        "class COG() { method go() { vars r; r = this.retrieve(5); return r } }"
+        " { vars c, f; c = newActive COG(); f = c.go() }"
+    )
+    cfg, trace = run(initial_config(p), budget=100)
+    assert trace.terminal["terminal"]
+    assert stuck_threads(cfg) == [("a1", "f1", "retrieve-miss")]
+
+
+def test_native_call_on_an_id_behind_a_future_waits_by_necessity():
+    # ``w`` never serves ``nope``, so the id stays an unresolved future
+    p = parse_masp(
+        "class W() { }"
+        " class COG(w) { method go() {"
+        " vars i, r; i = w.nope(); r = this.retrieve(i); return r } }"
+        " { vars w, c, f; w = newActive W(); c = newActive COG(w); f = c.go() }"
+    )
+    cfg, trace = run(initial_config(p), budget=100)
+    assert trace.terminal["terminal"]
+    assert stuck_threads(cfg) == [("a2", "f1", "wait-by-necessity")]
+
+
 def test_run_determinism_byte_identical():
     p = load_masp("circular_soft.masp")
     _, t1 = run(initial_config(p), strategy="random", seed=7)

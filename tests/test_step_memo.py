@@ -204,6 +204,51 @@ def test_a_handler_takes_exactly_the_enumerated_labels_on_generated_programs():
     assert tally[True] > 0 and tally[False] > 0
 
 
+# beside the corpus, the rules it does not reach: a remote, a self and a
+# cog-local synchronous call, ``suspend``, a boolean guard, ``skip``, both
+# branches of an ``if`` and both thread limits
+RULE_PROGRAMS_ABS = [
+    "class A() { method m() { return 1 } }"
+    " class B(a) { method go() { vars x; x = a.m(); return x } }"
+    " { vars a, b, f; a = new A(); b = new B(a); f = b!go(); await f? }",
+    "class C() { method outer() { vars x; x = this.inner(); return x }"
+    " method inner() { return 5 } }"
+    " { vars c, f, r; c = new C(); f = c!outer(); await f?; r = f.get }",
+    "class C() { method m() { return 1 } } { vars c, x; c = new local C(); x = c.m() }",
+    "{ vars x; x = 1; suspend; x = 2 }",
+    "class C(v) { method set() { v = 1; return null }"
+    " method waiter() { await v == 1; return 2 } }"
+    " { vars c, f, g; c = new C(0); f = c!waiter(); g = c!set(); await f? }",
+    "{ vars x; skip; x = 1; if (x == 2) { x = 3 } else { x = 4 };"
+    " if (x == 4) { x = 5 } else { skip } }",
+]
+RULE_PROGRAM_MASP = (
+    "{ vars x; setLimitHard; skip; setLimitSoft; x = 1;"
+    " if (x == 2) { x = 3 } else { x = 4 }; if (x == 4) { x = 5 } else { skip } }"
+)
+
+
+def _applied_rules(config) -> set:
+    rules = set()
+    note = Property("rules", transition=lambda old, new, label: rules.add(label.rule) or [])
+    explore(config, depth=40, width=300, properties=(note,))
+    return rules
+
+
+def test_explore_applies_every_rule_of_both_engines():
+    """No rule's handler serves labels that nothing reaches: over the
+    corpus and the programs above, `explore` applies every rule."""
+    masp_rules, abs_rules = set(), set()
+    for name in MASP_CORPUS + ABS_CORPUS + [n + ">masp" for n in ABS_CORPUS]:
+        cfg = _corpus_config(name)
+        (masp_rules if isinstance(cfg, MaspConfig) else abs_rules).update(_applied_rules(cfg))
+    for source in RULE_PROGRAMS_ABS:
+        abs_rules |= _applied_rules(abs_initial_config(parse_abs(source)))
+    masp_rules |= _applied_rules(initial_config(parse_masp(RULE_PROGRAM_MASP)))
+    assert masp_rules == set(masp_steps._RULES)
+    assert abs_rules == set(abs_steps._RULES)
+
+
 # ``hi`` outranks ``lo`` and the groups are compatible: once both requests
 # are queued, only ``h``'s may be served
 PRIORITY_SERVER = """
