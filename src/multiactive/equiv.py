@@ -1,7 +1,23 @@
 """The equivalence relation between cooperative and multi-active
-configurations: value equivalence (with location and future chasing),
-statement equivalence (translation match or aligned head assignment),
-and full configuration equivalence.
+configurations: value equivalence (with location and future chasing,
+``value_equiv``), statement equivalence (translation match or aligned
+head assignment, ``stmt_equiv``), and full configuration equivalence
+(``config_equiv``), whose conditions are each checked by one function:
+
+- (1a) cogs and activities coincide, modulo scheduler activities that
+  host no cooperative object yet: ``config_equiv`` and ``_embryonic``;
+- (1b) each object of a cog has a copy in its activity, registered or
+  still in flight (``_copies``), and every registered id is an object;
+- (1c) the object's fields are equivalent to one copy's: ``_fields_equiv``;
+- (1d) an object's active process matches the one active execute thread
+  that targets it, and (1e) its pending processes match its passive
+  execute threads, in any order, then its queued execute requests, in
+  order; both by ``_task_equiv``, and ``_check_cog`` asks that no
+  execute task is left over;
+- (2) a process and a frame (the thread's user frame, or the method
+  body bound for a request never served) hold equivalent locals and
+  equivalent statements: ``_frame_equiv``;
+- (3) the futures agree, paired by the bijection: ``_futures_equiv``.
 
 Conventions realized structurally: activity names equal cog names and
 object identifiers equal registry ids, so only future names need an
@@ -58,7 +74,7 @@ from typing import NamedTuple
 
 from .absm.evalfn import abs_evaluate
 from .absm.runtime import AbsConfig, Ob, Process, RGFut
-from .lang.ast_abs import AAssign, AAwait, AReturn, GFut
+from .lang.ast_abs import AAssign, AAwait, AReturn
 from .lang.ast_expr import Lit, MethodLit, RuntimeVal, node_fields
 from .lang.ast_masp import MAssign, MInvoke, MNew, MNewActive, MReturn
 from .masp.evalfn import chase, evaluate
@@ -177,24 +193,21 @@ def _settle(v, w, ctx):
     return None
 
 
-def _chase_ground(v, store, ctx=None):
+def _chase_ground(v, store, ctx):
     if not isinstance(v, Loc):
         return v
     try:
         w = chase(v, store)
     except Exception:
         return None
-    if isinstance(w, Loc):
-        s = store.get(w)
-        if isinstance(s, FutRef):
-            return _predict_future(s.name, ctx)
-        return w
+    if isinstance(w, Loc) and isinstance(store.get(w), FutRef):
+        return _predict_future(store[w].name, ctx)
     return w
 
 
 def _predict_future(fname: str, ctx) -> object:
     """The determined value of a pending id-allocation future, if any."""
-    if ctx is None or ctx.mcn is None:
+    if ctx.mcn is None:
         return None
     value = _predicted(fname, ctx.mcn)
     if ctx.reads is not None:
@@ -377,15 +390,13 @@ def stmt_equiv(
     )
     abs_stmts = tuple(abs_stmts)
 
-    def norm(stmts):
+    def matches(translated, masp):
         # compare both sides with identical temp-consumption rules
-        if stmts is None:
-            return None
-        out, _ = _strip_temps(tuple(stmts), ctx, relaxed=relaxed)
-        return out
+        translated, _ = _strip_temps(translated, ctx, relaxed=relaxed)
+        return _stmts_match(translated, masp, store, cn, ctx)
 
-    translated = norm(_translate_tail(abs_stmts, ctx, scope))
-    if translated is not None and _stmts_match(translated, masp_stmts, store, cn, ctx):
+    tail = _translate_tail(abs_stmts, ctx, scope)
+    if tail is not None and matches(tail, masp_stmts):
         return True
     if not abs_stmts or not masp_stmts:
         return False
@@ -402,21 +413,14 @@ def stmt_equiv(
             w = evaluate(m0.rhs, store, vlocals)
         except Exception:
             w = _UNKNOWN
-        if w is not _UNKNOWN and value_equiv(v, w, store, cn, ctx):
-            translated = norm(_translate_tail(abs_stmts[1:], ctx, scope))
+        if w is not _UNKNOWN and value_equiv(v, w, store, cn, ctx) and tail is not None:
             rest, _ = _strip_temps(masp_stmts[1:], ctx, store, vlocals, relaxed)
-            if translated is not None and _stmts_match(
-                translated, rest, store, cn, ctx
-            ):
+            if matches(tail[len(_translated(a0, ctx.prefix, scope)):], rest):
                 return True
-    if relaxed:
-        head_clause = _translate_tail(abs_stmts[:1], ctx, scope)
-        rest = _translate_tail(abs_stmts[1:], ctx, scope)
-        if head_clause is not None and rest is not None:
-            for i in range(1, len(head_clause) + 1):
-                cand = norm(head_clause[i:] + rest)
-                if _stmts_match(cand, masp_stmts, store, cn, ctx):
-                    return True
+    if relaxed and tail is not None:
+        # the head clause partly consumed: a proper suffix of the tail
+        head = _translated(a0, ctx.prefix, scope)
+        return any(matches(tail[i:], masp_stmts) for i in range(1, len(head) + 1))
     return False
 
 
@@ -427,40 +431,28 @@ def _is_execute(req) -> bool:
     return req.method == "execute"
 
 
-def _embryonic(act, ctx=None) -> bool:
+def _embryonic(act, ctx) -> bool:
     """A scheduler activity not yet hosting any identifiable cooperative
     object (copies whose id still hides behind a future don't count)."""
-    if act.registry:
+    if act.registry or any(ident is not None for ident in _copies(act, ctx)):
         return False
-    for storable in act.store.values():
-        if (
-            isinstance(storable, Obj)
-            and storable.fields.get("cog") == ActRef(act.name)
-            and _chase_ground(storable.fields.get("myId"), act.store, ctx) is not None
-        ):
-            return False
     for thread in act.current.values():
         if _is_execute(thread.request):
             return False
     return not any(_is_execute(q) for q in act.queue)
 
 
-def _object_witnesses(act, ident, ctx=None) -> list:
-    """Candidate copies: the registered one, else in-flight copies (a
-    just-created object may transiently have two identical copies while
-    its register request is in flight)."""
-    loc = act.registry.get(ident)
-    if loc is not None:
-        return [loc]
-    candidates = []
-    for l, storable in sorted(act.store.items(), key=lambda kv: kv[0].index):
-        if (
-            isinstance(storable, Obj)
-            and storable.fields.get("cog") == ActRef(act.name)
-            and _chase_ground(storable.fields.get("myId"), act.store, ctx) == ident
-        ):
-            candidates.append(l)
-    return candidates
+def _copies(act, ctx) -> dict:
+    """The activity's copies of its cog's objects: grounded identifier to
+    locations, in location order (a just-created object may transiently
+    have two identical copies while its register request is in flight)."""
+    copies = {}
+    cog = ActRef(act.name)
+    for loc, storable in sorted(act.store.items(), key=lambda kv: kv[0].index):
+        if isinstance(storable, Obj) and storable.fields.get("cog") == cog:
+            ident = _chase_ground(storable.fields.get("myId"), act.store, ctx)
+            copies.setdefault(ident, []).append(loc)
+    return copies
 
 
 def _fields_equiv(ob: Ob, obj: Obj, store, cn, ctx) -> bool:
@@ -473,75 +465,62 @@ def _fields_equiv(ob: Ob, obj: Obj, store, cn, ctx) -> bool:
     return True
 
 
-def _execute_ident(req, store, ctx=None):
+def _execute_ident(req, store, ctx):
     if len(req.args) < 2:
         return None, None
     ident = _chase_ground(req.args[0], store, ctx)
-    mname = req.args[1]
-    if isinstance(mname, Loc):
-        mname = _chase_ground(mname, store, ctx)
+    mname = _chase_ground(req.args[1], store, ctx)
     if isinstance(mname, MethodVal):
         mname = mname.name
     return ident, mname
 
 
-def _frame_locals_equiv(proc: Process, frame_locals, store, cn, ctx) -> bool:
+def _frame_equiv(proc: Process, frame, store, cn, ctx, relaxed) -> bool:
+    """(2) A process against a frame: its locals, then its statements."""
     for x, v in proc.locals.items():
         if x in ("destiny", "cont"):
             continue
-        if x not in frame_locals:
+        if x not in frame.locals or not value_equiv(v, frame.locals[x], store, cn, ctx):
             return False
-        if not value_equiv(v, frame_locals[x], store, cn, ctx):
-            return False
-    return True
+    return stmt_equiv(
+        proc.stmts, frame.stmts, store, frame.locals, cn, ctx, relaxed,
+        scope=tuple(proc.locals),
+    )
 
 
 def _task_equiv(
-    proc: Process,
-    thread,
-    act,
-    cn,
-    ctx,
-    witness_loc,
-    ob=None,
-    program=None,
-    relaxed=False,
+    proc: Process, req, stack, act, cn, ctx, witness_loc, ob, program, relaxed
 ) -> bool:
-    """Started-task comparison: a two-frame execute stack whose top frame
-    runs on the witness object. In relaxed mode the translation's
+    """A process against the execute request ``req`` and the stack of the
+    thread serving it (None for a request never served): a two-frame
+    stack whose top frame runs on the witness object, else the method
+    body freshly bound for the request. In relaxed mode the translation's
     in-between shapes also relate: dispatch prologue (no user frame yet),
     return epilogue (user frame already popped), and small plumbing frames
     stacked above the user frame."""
-    stack = thread.stack
     dest = proc.locals.get("destiny")
     if not isinstance(dest, FutRef):
         return False
-    if len(stack) >= 2 and stack[-2].locals.get("this") == witness_loc:
-        if len(stack) > 2 and not relaxed:
+    top = None  # the user frame, if the thread has one
+    if stack is not None:
+        if len(stack) >= 2 and stack[-2].locals.get("this") == witness_loc:
+            top = stack[-2]
+            if len(stack) > 2 and not relaxed or not all(map(_plumb_frame, stack[:-2])):
+                return False
+        # no user frame: dispatch prologue or return epilogue of the execute body
+        elif not relaxed or any(f.locals.get("this") != act.active_loc for f in stack):
             return False
-        if not all(_plumb_frame(f) for f in stack[:-2]):
-            return False
-        top = stack[-2]
-        if not ctx.pair(dest.name, thread.request.future):
-            return False
-        if not _frame_locals_equiv(proc, top.locals, act.store, cn, ctx):
-            return False
-        return stmt_equiv(
-            proc.stmts, top.stmts, act.store, top.locals, cn, ctx, relaxed,
-            scope=tuple(proc.locals),
-        )
-    if not relaxed:
+    if not ctx.pair(dest.name, req.future):
         return False
-    # no user frame: dispatch prologue or return epilogue of the execute body
-    if not all(f.locals.get("this") == act.active_loc for f in stack):
-        return False
-    if not ctx.pair(dest.name, thread.request.future):
-        return False
-    if program is not None and _bound_start_equiv(
-        proc, thread.request, act, program, cn, ctx, witness_loc
-    ):
-        return True
-    if len(stack) == 1 and ob is not None and isinstance(proc.stmts[0], AReturn):
+    if top is not None:
+        return _frame_equiv(proc, top, act.store, cn, ctx, relaxed)
+    mname = _execute_ident(req, act.store, ctx)[1]
+    obj = act.store.get(witness_loc)
+    if mname is not None and isinstance(obj, Obj):
+        frame = bind(program, witness_loc, obj.cls, mname, tuple(req.args[2:]))
+        if frame is not None and _frame_equiv(proc, frame, act.store, cn, ctx, False):
+            return True
+    if stack is not None and len(stack) == 1 and isinstance(proc.stmts[0], AReturn):
         return _epilogue_equiv(proc, stack[0], act, ob, cn, ctx)
     return False
 
@@ -568,33 +547,6 @@ def _epilogue_equiv(proc, frame, act, ob, cn, ctx) -> bool:
     else:
         return False
     return value_equiv(v, w, act.store, cn, ctx)
-
-
-def _bound_start_equiv(proc, req, act, program, cn, ctx, witness_loc) -> bool:
-    """The cooperative process still sits at its freshly bound body."""
-    ident, mname = _execute_ident(req, act.store, ctx)
-    if mname is None:
-        return False
-    obj = act.store.get(witness_loc)
-    if not isinstance(obj, Obj):
-        return False
-    frame = bind(program, witness_loc, obj.cls, mname, tuple(req.args[2:]))
-    if frame is None:
-        return False
-    if not _frame_locals_equiv(proc, frame.locals, act.store, cn, ctx):
-        return False
-    return stmt_equiv(
-        proc.stmts, frame.stmts, act.store, frame.locals, cn, ctx,
-        scope=tuple(proc.locals),
-    )
-
-
-def _queued_equiv(proc: Process, req, act, program, cn, ctx, witness_loc) -> bool:
-    """(1e) for a never-served request: compare against the bound body."""
-    dest = proc.locals.get("destiny")
-    if not isinstance(dest, FutRef) or not ctx.pair(dest.name, req.future):
-        return False
-    return _bound_start_equiv(proc, req, act, program, cn, ctx, witness_loc)
 
 
 def config_equiv(
@@ -715,92 +667,81 @@ def _cog_equiv(cn, mcn, cog, act, members, ctx, relaxed=False):
 def _check_cog(cn, mcn, cog, act, members, ctx, relaxed=False):
     """``members``: the cog's objects by identifier."""
     # (1b)/(1c): objects against registered (or in-flight) copies
-    witness = {}
+    store, copies, witness = act.store, None, {}
     for ident, ob in members.items():
-        locs = _object_witnesses(act, ident, ctx)
+        loc = act.registry.get(ident)
+        if loc is None and copies is None:
+            copies = _copies(act, ctx)
+        locs = [loc] if loc is not None else copies.get(ident, ())
         if not locs:
             return False, f"object {ident}_{cog} has no copy"
-        hit = None
         for loc in locs:
-            obj = act.store.get(loc)
-            if isinstance(obj, Obj) and _fields_equiv(ob, obj, act.store, cn, ctx):
-                hit = loc
+            obj = store.get(loc)
+            if isinstance(obj, Obj) and _fields_equiv(ob, obj, store, cn, ctx):
+                witness[ident] = loc
                 break
-        if hit is None:
+        else:
             return False, f"object {ident}_{cog} fields differ"
-        witness[ident] = hit
     for ident in act.registry:
         if ident not in members:
             return False, f"registered {ident} has no object in {cog}"
 
-    # execute threads and requests, each with the object it targets (which
-    # reads only the store and ctx.mcn, so it is computed once per call)
-    def target(req):
-        return _execute_ident(req, act.store, ctx)[0]
+    # execute tasks by kind (thread state "A" or "P", or "Q" for a queued
+    # request) and target id, in service order; each match removes its task
+    tasks = {}
+    for kind, req, task in (
+        *((t.state, t.request, t) for t in act.current.values()),
+        *(("Q", q, q) for q in act.queue),
+    ):
+        if _is_execute(req):
+            key = kind, _execute_ident(req, store, ctx)[0]
+            tasks.setdefault(key, []).append(task)
 
-    threads = act.current.values()
-    active_exec = [
-        (t, target(t.request))
-        for t in threads
-        if t.state == "A" and _is_execute(t.request)
-    ]
-    passive_exec = [
-        (t, target(t.request))
-        for t in threads
-        if t.state == "P" and _is_execute(t.request)
-    ]
-    queued_exec = [(q, target(q)) for q in act.queue if _is_execute(q)]
-
-    used_passive, used_queued = set(), set()
-    for ident, ob in sorted(members.items()):
+    def equiv(proc, req, stack, ctx):  # against the member the loop below is at
         loc = witness[ident]
+        return _task_equiv(proc, req, stack, act, cn, ctx, loc, ob, mcn.program, relaxed)
+
+    for ident, ob in sorted(members.items()):
         # (1d) the active task: associate threads by their request's target id
         if ob.active is not None:
             if "cont" in ob.active.locals:
                 return False, "outside-fragment: synchronous continuation"
-            match = [t for t, target_id in active_exec if target_id == ident]
+            match = tasks.pop(("A", ident), [])
             if len(match) != 1:
                 return False, f"object {ident}_{cog}: no matching active task"
-            if not _task_equiv(
-                ob.active, match[0], act, cn, ctx, loc, ob, mcn.program, relaxed
-            ):
+            if not equiv(ob.active, match[0].request, match[0].stack, ctx):
                 return False, f"object {ident}_{cog}: active task differs"
         # (1e) pending tasks: passive threads (any order) or queued requests
         # (in order)
-        fresh = []
+        passive, fresh = tasks.get(("P", ident), []), []
         for proc in ob.queue:
             if "cont" in proc.locals or _is_continuation(proc):
                 return False, "outside-fragment: synchronous continuation"
-            hit = None
-            for t, target_id in passive_exec:
-                if target_id != ident or id(t) in used_passive:
-                    continue
-                if _task_equiv(
-                    proc, t, act, cn, ctx.copy(), loc, ob, mcn.program, relaxed
-                ):
-                    hit = t
+            for i, t in enumerate(passive):
+                trial = ctx.copy()
+                if equiv(proc, t.request, t.stack, trial):
+                    # the trial's new pairings, in the order it made them
+                    ctx.fut_map.update(trial.fut_map)
+                    ctx.rev_map.update(trial.rev_map)
+                    del passive[i]
                     break
-            if hit is not None:
-                used_passive.add(id(hit))
-                _task_equiv(proc, hit, act, cn, ctx, loc, ob, mcn.program, relaxed)
-                continue
-            fresh.append(proc)
+            else:
+                fresh.append(proc)
         # fresh processes must match this object's queued requests in order
-        mine = [q for q, target_id in queued_exec if target_id == ident]
-        if len(fresh) != len(mine):
+        queued = tasks.pop(("Q", ident), [])
+        if len(fresh) != len(queued):
             return False, f"object {ident}_{cog}: queue length mismatch"
-        for proc, req in zip(fresh, mine):
-            if not _queued_equiv(proc, req, act, mcn.program, cn, ctx, loc):
+        for proc, req in zip(fresh, queued):
+            if not equiv(proc, req, None, ctx):
                 return False, f"object {ident}_{cog}: queued request differs"
-            used_queued.add(req.future)
     # no multi-active execute task may be unaccounted for
-    accounted_active = sum(1 for o in members.values() if o.active is not None)
-    if len(active_exec) != accounted_active:
-        return False, f"{cog}: spurious active execute thread"
-    if len(used_passive) != len(passive_exec):
-        return False, f"{cog}: spurious passive execute thread"
-    if len(used_queued) != len(queued_exec):
-        return False, f"{cog}: spurious queued execute request"
+    for kind, what in (
+        ("A", "active execute thread"),
+        ("P", "passive execute thread"),
+        ("Q", "queued execute request"),
+    ):
+        if any(rest for (k, _), rest in tasks.items() if k == kind):
+            return False, f"{cog}: spurious {what}"
     return True, ""
 
 
@@ -823,8 +764,7 @@ def _futures_equiv(cn, mcn, ctx):
         f for f, b in masp_exec.items() if not b.resolved and f not in ctx.rev_map
     ]
     if len(free_abs) == 1 and len(free_masp) == 1:
-        if not ctx.pair(free_abs[0], free_masp[0]):
-            return False, "future pairing clash"
+        ctx.pair(free_abs[0], free_masp[0])  # both names are free: no clash
     for f in abs_unres:
         m = ctx.fut_map.get(f)
         if m is None:

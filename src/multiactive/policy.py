@@ -93,22 +93,18 @@ def ready(q, current, earlier, rp: ResolvedPolicy, ground=lambda v: v) -> bool:
 @dataclass
 class ThreadAccount:
     per_group_active: dict = field(default_factory=dict)
-    per_group_passive: dict = field(default_factory=dict)
     total_active: int = 0
-    limit_kind: str = "S"
 
     @classmethod
     def of_activity(cls, activity) -> "ThreadAccount":
         rp = activity.policy
-        acc = cls(limit_kind=activity.limit)
+        acc = cls()
         for thread in activity.current.values():
-            g = rp.group_of(thread.request.method)
             if thread.state == "A":
                 acc.total_active += 1
+                g = rp.group_of(thread.request.method)
                 if g is not None:
                     acc.per_group_active[g] = acc.per_group_active.get(g, 0) + 1
-            elif g is not None:
-                acc.per_group_passive[g] = acc.per_group_passive.get(g, 0) + 1
         return acc
 
 

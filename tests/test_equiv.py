@@ -1,5 +1,8 @@
 """Value, statement and configuration equivalence."""
 
+import pytest
+
+import multiactive.simulate as simulate
 from multiactive.absm.engine import abs_initial_config
 from multiactive.absm.runtime import AbsConfig
 from multiactive.equiv import (
@@ -13,9 +16,9 @@ from multiactive.lang.ast_abs import AAssign, AGet, AReturn, ASkip, aseq_list
 from multiactive.lang.ast_expr import Binop, Lit, RuntimeVal, Var
 from multiactive.lang.ast_masp import MAssign, MReturn, MSkip
 from multiactive.masp.engine import initial_config
-from multiactive.masp.runtime import Obj
+from multiactive.masp.runtime import FutBinder, Obj, Request, Thread
 from multiactive.translate import TranslationContext, translate_program, translate_statement
-from multiactive.values import UNRESOLVED, ActRef, FutRef, Loc, ObjRef
+from multiactive.values import UNRESOLVED, ActRef, FutRef, Loc, MethodVal, ObjRef
 
 from conftest import ABS_CORPUS, load_abs
 
@@ -160,3 +163,159 @@ def test_extra_active_thread_rejected():
     cn2 = cn.with_object(start.update(active=None))
     ok, _, _ = config_equiv(cn2, mcn)
     assert not ok
+
+
+def _admitted_pairs(name, depth):
+    """The equivalent pairs a forward check admits on a corpus program,
+    each with the future bijection it was compared under."""
+    pairs = []
+
+    def recorded(cn, mcn, ctx=None, relaxed=False):
+        got = config_equiv(cn, mcn, ctx, relaxed)
+        if got[0]:
+            pairs.append((cn, mcn, ctx))
+        return got
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(simulate, "config_equiv", recorded)
+        rep = simulate.check_forward_simulation(load_abs(name), depth, 10_000)
+    assert rep.failures == []
+    return pairs
+
+
+def _first(pairs, holds):
+    return next((cn, mcn, ctx) for cn, mcn, ctx in pairs if holds(cn, mcn))
+
+
+def _queued_in_a1(cn, mcn):
+    act = mcn.activities.get("a1")
+    return act is not None and any(q.method == "execute" for q in act.queue)
+
+
+def _registered_in_a1(cn, mcn):
+    return "a1" in mcn.activities and bool(mcn.activities["a1"].registry)
+
+
+def _resolved(cn, mcn):
+    return any(v is not UNRESOLVED for v in cn.futures.values())
+
+
+def _initial(cn, mcn):
+    return True
+
+
+def _with_active_local(cn, ref, name, value):
+    ob = cn.objects[ref]
+    return cn.with_object(ob.update(active=ob.active.with_local(name, value)))
+
+
+def _with_queued_local(cn, ref, name, value):
+    ob = cn.objects[ref]
+    return cn.with_object(ob.update(queue=(ob.queue[0].with_local(name, value), *ob.queue[1:])))
+
+
+def _with_execute(mcn, act_name, fut, state=None):
+    """Activity ``act_name`` with one more execute task on object 99, which
+    no cooperative object has: a thread in ``state``, or a queued request."""
+    act = mcn.activities[act_name]
+    req = Request(fut, "execute", (99, MethodVal("m")))
+    if state is None:
+        return mcn.with_activity(act.update(queue=(*act.queue, req)))
+    (thread, *_) = act.current.values()
+    extra = Thread(req, state, thread.stack)
+    return mcn.with_activity(act.update(current={**act.current, fut: extra}))
+
+
+def _with_binder(mcn, fut, binder):
+    return mcn.update(futures={**mcn.futures, fut: binder})
+
+
+def _without_object(cn, ref):
+    return cn.update(objects={r: o for r, o in cn.objects.items() if r != ref})
+
+
+# (pair, perturbation of (cn, mcn), expected (ok, reason)): one row per
+# rejection reason the corpus checks never produce on their own
+_PERTURBATIONS = {
+    "activity without cog": (
+        _registered_in_a1,
+        lambda cn, mcn: (cn.update(cogs={c: r for c, r in cn.cogs.items() if c != "a1"}), mcn),
+        (False, "activity a1 has no cog"),
+    ),
+    "registered without object": (
+        _registered_in_a1,
+        lambda cn, mcn: (_without_object(cn, ObjRef(1, "a1")), mcn),
+        (False, "registered 1 has no object in a1"),
+    ),
+    "active continuation": (
+        _initial,
+        lambda cn, mcn: (_with_active_local(cn, ObjRef(0, "a0"), "cont", None), mcn),
+        (False, "outside-fragment: synchronous continuation"),
+    ),
+    "queued continuation": (
+        _queued_in_a1,
+        lambda cn, mcn: (_with_queued_local(cn, ObjRef(1, "a1"), "cont", None), mcn),
+        (False, "outside-fragment: synchronous continuation"),
+    ),
+    "queued request": (
+        _queued_in_a1,
+        lambda cn, mcn: (_with_queued_local(cn, ObjRef(1, "a1"), "b", 7), mcn),
+        (False, "object 1_a1: queued request differs"),
+    ),
+    "spurious passive thread": (
+        _initial,
+        lambda cn, mcn: (cn, _with_execute(mcn, "a0", "f99", "P")),
+        (False, "a0: spurious passive execute thread"),
+    ),
+    "spurious queued request": (
+        _initial,
+        lambda cn, mcn: (cn, _with_execute(mcn, "a0", "f99")),
+        (False, "a0: spurious queued execute request"),
+    ),
+    # with one free name on each side the pair is inferred; both names are
+    # free, so the pairing cannot clash
+    "inferred pairing": (
+        _initial,
+        lambda cn, mcn: (
+            cn.update(futures={**cn.futures, "g": UNRESOLVED}),
+            _with_binder(mcn, "h", FutBinder(method="execute")),
+        ),
+        (True, ""),
+    ),
+    "unresolved against resolved": (
+        _initial,
+        lambda cn, mcn: (cn, _with_binder(mcn, "f0", FutBinder(0, {}, "execute"))),
+        (False, "unresolved f0 resolved on the other side"),
+    ),
+    "resolved against unresolved": (
+        _initial,
+        lambda cn, mcn: (cn.update(futures={**cn.futures, "f0": 0}), mcn),
+        (False, "resolved f0 unresolved on the other side"),
+    ),
+    "future values": (
+        _resolved,
+        lambda cn, mcn: (cn.update(futures={**cn.futures, "f1": 12345}), mcn),
+        (False, "future f1 values differ"),
+    ),
+    "unpaired execute future": (
+        _initial,
+        lambda cn, mcn: (cn, _with_binder(mcn, "f99", FutBinder(0, {}, "execute"))),
+        (False, "execute future f99 unpaired"),
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def bank_pairs():
+    return _admitted_pairs("bank_account.abs", 12)
+
+
+@pytest.mark.parametrize("row", sorted(_PERTURBATIONS))
+def test_each_rejection_reason(row, bank_pairs):
+    holds, perturb, expected = _PERTURBATIONS[row]
+    cn, mcn, ctx = _first(bank_pairs, holds)
+    assert config_equiv(cn, mcn, ctx)[0]
+    ok, reason, out = config_equiv(*perturb(cn, mcn), ctx)
+    assert (ok, reason) == expected
+    if ok:
+        assert out.fut_map["g"] == "h"

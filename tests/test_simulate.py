@@ -14,6 +14,7 @@ import multiactive.simulate as simulate
 from multiactive.absm.engine import abs_initial_config
 from multiactive.absm.steps import abs_apply_step, abs_enabled_steps
 from multiactive.canon import abs_digest, masp_digest
+from multiactive.cli import cli
 from multiactive.lang import parse_abs
 from multiactive.masp.engine import initial_config
 from multiactive.masp.steps import apply_step, enabled_steps
@@ -518,3 +519,55 @@ def test_forward_steps_each_configuration_once(monkeypatch):
     assert rep.failures == [] and rep.states == 983
     for name, keys in calls.items():
         assert len(set(keys)) <= len(keys) <= 1.15 * len(set(keys)), (name, len(keys), len(set(keys)))
+
+
+WRONG_LITERAL = """
+class C() { method m() { vars v; v = 1; return v } }
+{ vars c, f, r; c = new C(); f = c!m(); r = f.get }
+"""
+
+
+def _mistranslated(monkeypatch, wrong_src):
+    """Checks against the translation of ``wrong_src`` in place of the
+    program's own."""
+    monkeypatch.setattr(
+        simulate, "translate_program", lambda p: translate_program(parse_abs(wrong_src))
+    )
+
+
+def test_a_wrong_translation_fails_both_directions(monkeypatch, tmp_path, capsys):
+    _mistranslated(monkeypatch, WRONG_LITERAL.replace("v = 1", "v = 2"))
+    program = parse_abs(WRONG_LITERAL)
+    fwd = check_forward_simulation(program, 30, 10_000)
+    assert fwd.failures and not fwd.ok
+    assert {f["abs_rule"] for f in fwd.failures} == {"Rendez-vous-Comm"}
+    for f in fwd.failures:
+        assert set(f) == {
+            "abs_rule", "abs_label", "expected_seq", "found", "abs_digest", "masp_digest"
+        }
+        assert f["found"] == "no matching silent sequence"
+    bwd = check_backward_simulation(program, 30, 10_000)
+    assert bwd.failures and not bwd.ok
+    assert {f["masp_rule"] for f in bwd.failures} == {"Invk-Active"}
+    for f in bwd.failures:
+        assert set(f) == {"masp_rule", "masp_label", "found", "masp_digest", "abs_digest"}
+        assert f["found"] == "no cooperative response"
+    path = tmp_path / "wrong.abs"
+    path.write_text(WRONG_LITERAL)
+    assert cli(["check-sim", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "forward: matched" in out and "backward: matched" in out
+
+
+def test_a_wrong_main_block_fails_the_initial_pair(monkeypatch):
+    good = WRONG_LITERAL.replace("r; c = new", "r; r = 1; c = new")
+    _mistranslated(monkeypatch, good.replace("r = 1", "r = 2"))
+    for check, side in (
+        (check_forward_simulation, "abs_rule"),
+        (check_backward_simulation, "masp_rule"),
+    ):
+        rep = check(parse_abs(good), 30, 10_000)
+        assert rep.failures == [
+            {side: "initial", "found": "object 0_a0: active task differs"}
+        ]
+        assert rep.states == 0 and rep.steps_checked == 0
