@@ -17,7 +17,7 @@ from ..lang.pretty import pretty_abs
 from ..properties import ABS_PROPERTIES
 from ..trace import Semantics, StepRecord, Trace, replay_steps, run_steps
 from ..values import UNRESOLVED, ActRef, FutRef, ObjRef
-from .runtime import AbsConfig, Ob, Process, flatten_abs_body
+from .runtime import AbsConfig, Cog, Ob, Process, flatten_abs_body
 from .steps import abs_apply_step, abs_enabled_steps
 
 MAIN_COG = "a0"
@@ -34,12 +34,10 @@ def abs_initial_config(program: AbsProgram) -> AbsConfig:
     ob = Ob(start, None, {"cog": ActRef(MAIN_COG)}, proc, ())
     return AbsConfig(
         program=program,
-        objects={start: ob},
-        cogs={MAIN_COG: start},
+        cogs={MAIN_COG: Cog(MAIN_COG, start, 1, {0: ob})},
         futures={MAIN_FUTURE: UNRESOLVED},
         cog_counter=1,
         fut_counter=1,
-        id_counters={MAIN_COG: 1},
     )
 
 

@@ -1,20 +1,22 @@
 """Runtime configurations of the cooperative active-object engine.
 
-Objects are global configuration entries (no per-activity store); a cog
-entry names the single object allowed to run. Futures map to their value
-or stay unresolved. Immutability discipline as in the sibling engine:
-`steps` memoizes on each `Ob` the successor object of every step that
-rewrites only that object (`_next`, see `steplabel.memo_step`: with the
-cog entry that `Activate` reads and writes, the destiny that `Return`
-reads and resolves, and the future that `Await-*` and `Read-Fut` read; a
-successor first held weakly, strongly once it had to be rebuilt), and
-`canon` its shape (`_canon`) and, on a cog's first member, the cog's
-shape (`_cog`).
+A configuration holds each cog as one immutable node (`Cog`): its
+running object, the ident its next object takes, and its objects by
+ident. Futures map to their value or stay unresolved. Immutability
+discipline as in the sibling engine, where a `Cog` plays the part of an
+`Activity`: `steps` memoizes on each `Cog` the successor cog of every
+step that rewrites only that cog (`_next`, see `steplabel.memo_step`:
+with the destiny that `Return` reads and resolves, and the future that
+`Await-*` and `Read-Fut` read; a successor first held weakly, strongly
+once it had to be rebuilt), `canon` the shapes of a cog, an object and
+a process (`_canon`), `explore` what one-active-per-cog finds in a cog,
+and `equiv` its verdicts against a cog's objects (`_cog_memo` on the
+activity, keyed on the cog's object table).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from ..lang.ast_abs import AbsMethod, AbsProgram, AReturn, aseq_list
@@ -56,24 +58,45 @@ class Ob:
 
 
 @dataclass(frozen=True)
+class Cog:
+    name: str
+    running: Optional[ObjRef]  # the one object allowed to run; None while free
+    next_id: int  # the ident of the next object created in this cog
+    objects: dict  # ident -> Ob, in ident order
+
+    def update(self, **kw) -> "Cog":
+        return evolve(self, kw)
+
+    def with_object(self, *obs: Ob, **kw) -> "Cog":
+        """Successor with ``obs`` put in place by ident and ``kw`` changed."""
+        objects = dict(self.objects)
+        for ob in obs:
+            objects[ob.name.ident] = ob
+        return evolve(self, {**kw, "objects": objects})
+
+
+@dataclass(frozen=True)
 class AbsConfig:
     program: AbsProgram
-    objects: dict  # ObjRef -> Ob, creation order
-    cogs: dict  # cog name -> ObjRef | None (the running object)
+    cogs: dict  # cog name -> Cog, creation order
     futures: dict  # future name -> value | UNRESOLVED
     cog_counter: int = 1
     fut_counter: int = 1
-    id_counters: dict = field(default_factory=dict)  # cog -> next object id
 
     def update(self, **kw) -> "AbsConfig":
         return evolve(self, kw)
 
-    def with_object(self, *obs: Ob, **kw) -> "AbsConfig":
-        """Successor with ``obs`` put in place by name and ``kw`` changed."""
-        objects = dict(self.objects)
-        for ob in obs:
-            objects[ob.name] = ob
-        return evolve(self, {**kw, "objects": objects})
+    def with_cog(self, *cogs: Cog, **kw) -> "AbsConfig":
+        """Successor with ``cogs`` put in place by name and ``kw`` changed."""
+        table = dict(self.cogs)
+        for cog in cogs:
+            table[cog.name] = cog
+        return evolve(self, {**kw, "cogs": table})
+
+    def ob(self, name: ObjRef) -> Optional[Ob]:
+        """The object named ``name``, None if there is none."""
+        cog = self.cogs.get(name.cog)
+        return None if cog is None else cog.objects.get(name.ident)
 
 
 def flatten_abs_body(stmt) -> tuple:

@@ -19,10 +19,11 @@ label and `_RULES` key: `New-Object` and `New-Cog-Object`, `Await-False`
 and `Suspend`, `Rendez-vous-Comm` and `Rem-Sync-Call`, `Cog-Sync-Call`
 and `Self-Sync-Call`, and the two `*-Sync-Return-Sched` rules.
 
-The rules that rewrite only one object (`_LOCAL`) are memoized on it
-(`_next`, through `steplabel.memo_step`), with the configuration cells
-they read and write: a cog's running object for `Activate`, a future for
-`Return`, `Await-*` and `Read-Fut`.
+Every rule that draws no fresh cog or future name rewrites only the cog
+its label names (`_LOCAL`), and is memoized on that cog's node (`_next`,
+through `steplabel.memo_step`), with the futures it reads and writes:
+the destiny that `Return` and the synchronous returns resolve, and the
+future that `Await-*` and `Read-Fut` read.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from ..values import (
     ObjRef,
 )
 from .evalfn import abs_evaluate, abs_evaluate_list
-from .runtime import AbsConfig, Ob, Process, RGFut, abs_bind
+from .runtime import AbsConfig, Cog, Ob, Process, RGFut, abs_bind
 
 
 def split_guard(g):
@@ -73,21 +74,19 @@ def split_guard(g):
 
 
 def abs_enabled_steps(config: AbsConfig, mode: str = "explore") -> list:
-    by_cog = {}
-    for o in config.objects.values():
-        by_cog.setdefault(o.name.cog, []).append(o)
     labels = []
-    for cog in config.cogs:
-        for ob in sorted(by_cog.get(cog, ()), key=lambda o: o.name.ident):
-            labels.extend(_object_labels(config, ob, mode))
+    for cog in config.cogs.values():
+        for ob in cog.objects.values():
+            labels.extend(_object_labels(config, cog, ob, mode))
     return labels
 
 
-def _object_labels(config, ob, mode) -> list:
-    """The labels whose first ``extra`` item names ``ob``: its running
-    process's, `Release-Cog` once that process is gone, or `Activate`
-    while its cog is free. Every rule's handler takes only these."""
-    running = config.cogs.get(ob.name.cog, ABSENT)
+def _object_labels(config, cog, ob, mode) -> list:
+    """The labels whose first ``extra`` item names ``ob``, an object of
+    ``cog``: its running process's, `Release-Cog` once that process is
+    gone, or `Activate` while its cog is free. Every rule's handler takes
+    only these."""
+    running = cog.running
     ident = (ob.name.ident,)
     if running == ob.name:
         if ob.active is not None:
@@ -178,8 +177,8 @@ def _return_rule(config, ob, proc):
     for pos, p in enumerate(ob.queue):
         if p.locals.get("destiny") == cont:
             return "Self-Sync-Return-Sched", (pos,)
-    for other in config.objects.values():
-        if other.name.cog == ob.name.cog and other.name != ob.name and other.active is None:
+    for other in config.cogs[ob.name.cog].objects.values():
+        if other.name != ob.name and other.active is None:
             for pos, p in enumerate(other.queue):
                 if p.locals.get("destiny") == cont:
                     return "Cog-Sync-Return-Sched", (other.name.ident, pos)
@@ -227,12 +226,12 @@ def _call_target(config, ob, rhs) -> Optional[Ob]:
     its method binds on the callee."""
     fields, locals_ = ob.fields, ob.active.locals
     target = abs_evaluate(rhs.target, fields, locals_)
-    if not isinstance(target, ObjRef) or target not in config.objects:
+    callee = config.ob(target) if isinstance(target, ObjRef) else None
+    if callee is None:
         return None
     args = abs_evaluate_list(rhs.args, fields, locals_)
     if args is None:
         return None
-    callee = config.objects[target]
     if abs_bind(config.program, target, callee.cls, "f?", rhs.method, args) is None:
         return None
     return callee
@@ -246,32 +245,25 @@ def abs_apply_step(config: AbsConfig, label: Label) -> AbsConfig:
     if handler is None:
         raise EngineFault(f"unknown rule {label.rule}")
     if label.rule in _LOCAL:
-        ob = _named(config, label)
-        if ob is not None:
-            return memo_step(config, ob, label, handler, _outcome, AbsConfig.with_object)
+        cog = config.cogs.get(label.activity)
+        if cog is not None:
+            return memo_step(config, cog, label, handler, _outcome, AbsConfig.with_cog)
     return handler(config, label)
 
 
-def _outcome(config, new, ob, label) -> tuple:
-    """What a local rule did, for `memo_step`: ``Activate`` read and wrote
-    its cog's running object, ``Return`` its destiny, ``Await-*`` (on a
-    future guard) and ``Read-Fut`` read one future."""
-    succ = new.objects[ob.name]
+def _outcome(config, new, cog, label) -> tuple:
+    """What a local rule did, for `memo_step`: the `_RESOLVES` rules read
+    and resolved their destiny, ``Await-*`` (on a future guard) and
+    ``Read-Fut`` read one future."""
+    succ = new.cogs[cog.name]
     rule = label.rule
-    if rule == "Activate":
-        cog = label.activity
-        return succ, (("cogs", cog, config.cogs.get(cog, ABSENT)),), (
-            ("cogs", cog, new.cogs[cog]),
-        )
-    if rule == "Return":
-        fut = ob.active.locals["destiny"].name
-        return succ, (("futures", fut, config.futures[fut]),), (
-            ("futures", fut, new.futures[fut]),
-        )
+    if rule in _RESOLVES:
+        fut = cog.objects[label.extra[0]].active.locals["destiny"].name
+        return succ, ((fut, config.futures[fut]),), ((fut, new.futures[fut]),)
     if rule in _READS_FUTURE:
-        f = _read_future(ob)
+        f = _read_future(cog.objects[label.extra[0]])
         if f is not None:
-            return succ, (("futures", f.name, config.futures.get(f.name, ABSENT)),), ()
+            return succ, ((f.name, config.futures.get(f.name, ABSENT)),), ()
     return succ, (), ()
 
 
@@ -289,21 +281,21 @@ def _read_future(ob):
     return abs_evaluate(Var(first.var), ob.fields, ob.active.locals)
 
 
-def _named(config, label) -> Optional[Ob]:
-    """The object that a label's first ``extra`` item names, if any."""
-    if not label.extra:
-        return None
-    return config.objects.get(ObjRef(label.extra[0], label.activity))
-
-
-def _ob(config, label) -> Ob:
-    """The object a label names, which must offer the label in ``explore``
-    mode (whose labels include ``run`` mode's); its handler then only
+def _ob(config, label) -> tuple:
+    """The cog a label names and its object that the label's first
+    ``extra`` item names, which must offer the label in ``explore`` mode
+    (whose labels include ``run`` mode's); its handler then only
     rewrites."""
-    ob = _named(config, label)
-    if ob is None or label not in _object_labels(config, ob, "explore"):
+    cog = config.cogs.get(label.activity)
+    ob = cog.objects.get(label.extra[0]) if cog is not None and label.extra else None
+    if ob is None or label not in _object_labels(config, cog, ob, "explore"):
         raise EngineFault(f"step not enabled: {label.key()}")
-    return ob
+    return cog, ob
+
+
+def _rewrite(config, cog, ob, **changes) -> AbsConfig:
+    """``config`` with ``ob``, an object of ``cog``, changed by ``changes``."""
+    return config.with_cog(cog.with_object(ob.update(**changes)))
 
 
 def _pop(proc) -> Process:
@@ -311,101 +303,92 @@ def _pop(proc) -> Process:
 
 
 def _apply_skip(config, label):
-    ob = _ob(config, label)
-    return config.with_object(ob.update(active=_pop(ob.active)))
+    cog, ob = _ob(config, label)
+    return _rewrite(config, cog, ob, active=_pop(ob.active))
 
 
 def _apply_cond(config, label):
-    ob = _ob(config, label)
+    cog, ob = _ob(config, label)
     head = ob.active.stmts[0]
     branch = head.then if label.rule == "Cond-True" else head.els
     stmts = tuple(aseq_list(branch)) + ob.active.stmts[1:]
-    return config.with_object(ob.update(active=ob.active.with_stmts(stmts)))
+    return _rewrite(config, cog, ob, active=ob.active.with_stmts(stmts))
 
 
 def _apply_assign_local(config, label):
-    ob = _ob(config, label)
+    cog, ob = _ob(config, label)
     head = ob.active.stmts[0]
     v = abs_evaluate(head.rhs, ob.fields, ob.active.locals)
     proc = Process({**ob.active.locals, head.target: v}, ob.active.stmts[1:])
-    return config.with_object(ob.update(active=proc))
+    return _rewrite(config, cog, ob, active=proc)
 
 
 def _apply_assign_field(config, label):
-    ob = _ob(config, label)
+    cog, ob = _ob(config, label)
     head = ob.active.stmts[0]
     v = abs_evaluate(head.rhs, ob.fields, ob.active.locals)
     fields = dict(ob.fields)
     fields[head.target] = v
-    return config.with_object(ob.update(fields=fields, active=_pop(ob.active)))
+    return _rewrite(config, cog, ob, fields=fields, active=_pop(ob.active))
 
 
 def _apply_await_true(config, label):
-    ob = _ob(config, label)
+    cog, ob = _ob(config, label)
     _, rest = split_guard(ob.active.stmts[0].guard)
     stmts = ob.active.stmts[1:]
     if rest is not None:
         stmts = (AAwait(rest),) + stmts
-    return config.with_object(ob.update(active=ob.active.with_stmts(stmts)))
+    return _rewrite(config, cog, ob, active=ob.active.with_stmts(stmts))
 
 
 def _apply_await_false(config, label):
     """`Await-False` and `Suspend`: the process re-enters its queue at the
     label's position, before its guard or past its ``suspend``."""
-    ob = _ob(config, label)
+    cog, ob = _ob(config, label)
     proc = ob.active if label.rule == "Await-False" else _pop(ob.active)
     pos = label.extra[1]
     queue = ob.queue[:pos] + (proc,) + ob.queue[pos:]
-    return config.with_object(ob.update(active=None, queue=queue))
+    return _rewrite(config, cog, ob, active=None, queue=queue)
 
 
 def _apply_release_cog(config, label):
-    _ob(config, label)
-    cogs = dict(config.cogs)
-    cogs[label.activity] = None
-    return config.update(cogs=cogs)
+    cog, _ = _ob(config, label)
+    return config.with_cog(cog.update(running=None))
 
 
 def _apply_activate(config, label):
-    ob = _ob(config, label)
+    cog, ob = _ob(config, label)
     proc, rest = ob.queue[0], ob.queue[1:]
-    cogs = dict(config.cogs)
-    cogs[label.activity] = ob.name
-    return config.with_object(ob.update(active=proc, queue=rest), cogs=cogs)
+    return config.with_cog(cog.with_object(ob.update(active=proc, queue=rest), running=ob.name))
 
 
 def _apply_read_fut(config, label):
-    ob = _ob(config, label)
+    cog, ob = _ob(config, label)
     head = ob.active.stmts[0]
     v = config.futures[_read_future(ob).name]
     stmts = (AAssign(head.target, RuntimeVal(v)),) + ob.active.stmts[1:]
-    return config.with_object(ob.update(active=ob.active.with_stmts(stmts)))
+    return _rewrite(config, cog, ob, active=ob.active.with_stmts(stmts))
 
 
 def _apply_new_object(config, label):
     """`New-Object` and `New-Cog-Object`: the new object joins the
     caller's cog, or a fresh cog that starts free."""
-    ob = _ob(config, label)
+    cog, ob = _ob(config, label)
     head = ob.active.stmts[0]
     cls = config.program.cls(head.rhs.cls)
     args = abs_evaluate_list(head.rhs.args, ob.fields, ob.active.locals)
-    if label.rule == "New-Object":
-        cog, kw = label.activity, {}
-    else:
-        cog = f"a{config.cog_counter}"
-        cogs = dict(config.cogs)
-        cogs[cog] = None
-        kw = {"cogs": cogs, "cog_counter": config.cog_counter + 1}
-    counters = dict(config.id_counters)
-    ident = counters.get(cog, 1)
-    counters[cog] = ident + 1
-    name = ObjRef(ident, cog)
+    local = label.rule == "New-Object"
+    home = cog.name if local else f"a{config.cog_counter}"
+    name = ObjRef(cog.next_id if local else 1, home)
     fields = dict(zip(cls.fields, args))
-    fields["cog"] = ActRef(cog)
+    fields["cog"] = ActRef(home)
     new_ob = Ob(name, cls.name, fields, None, ())
     stmts = (AAssign(head.target, RuntimeVal(name)),) + ob.active.stmts[1:]
     caller = ob.update(active=ob.active.with_stmts(stmts))
-    return config.with_object(caller, new_ob, id_counters=counters, **kw)
+    if local:
+        return config.with_cog(cog.with_object(caller, new_ob, next_id=name.ident + 1))
+    fresh = Cog(home, None, 2, {1: new_ob})
+    return config.with_cog(cog.with_object(caller), fresh, cog_counter=config.cog_counter + 1)
 
 
 def _call_parts(config, ob):
@@ -415,7 +398,7 @@ def _call_parts(config, ob):
     target = abs_evaluate(head.rhs.target, ob.fields, ob.active.locals)
     args = abs_evaluate_list(head.rhs.args, ob.fields, ob.active.locals)
     fut = f"f{config.fut_counter}"
-    cls = config.objects[target].cls
+    cls = config.ob(target).cls
     bound = abs_bind(config.program, target, cls, fut, head.rhs.method, args)
     return head, target, fut, bound
 
@@ -424,40 +407,42 @@ def _apply_call(config, label):
     """`Rendez-vous-Comm` and `Rem-Sync-Call`: the request lands in the
     callee's queue, and the caller goes on with the future, or with a
     blocking read of it."""
-    ob = _ob(config, label)
+    cog, ob = _ob(config, label)
     head, target, fut, bound = _call_parts(config, ob)
     value = RuntimeVal(FutRef(fut))
     if label.rule == "Rem-Sync-Call":
         value = AGet(value)
     stmts = (AAssign(head.target, value),) + ob.active.stmts[1:]
     caller = ob.update(active=ob.active.with_stmts(stmts))
-    callee = caller if target == ob.name else config.objects[target]
+    callee = caller if target == ob.name else config.ob(target)
     callee = callee.update(queue=callee.queue + (bound,))
+    if target.cog == cog.name:
+        cogs = (cog.with_object(caller, callee),)
+    else:
+        cogs = (cog.with_object(caller), config.cogs[target.cog].with_object(callee))
     futures = dict(config.futures)
     futures[fut] = UNRESOLVED
-    return config.with_object(
-        caller, callee, futures=futures, fut_counter=config.fut_counter + 1
-    )
+    return config.with_cog(*cogs, futures=futures, fut_counter=config.fut_counter + 1)
 
 
 def _apply_local_sync_call(config, label):
     """`Cog-Sync-Call` and `Self-Sync-Call`: the caller queues its
     continuation (await the call's future, then read it) and hands its
     cog to the callee, which may be the caller itself."""
-    ob = _ob(config, label)
+    cog, ob = _ob(config, label)
     head, target, fut, bound = _call_parts(config, ob)
     f = FutRef(fut)
     cont = (AAwait(RGFut(f)), AAssign(head.target, AGet(RuntimeVal(f))))
     continuation = Process(ob.active.locals, cont + ob.active.stmts[1:])
     caller = ob.update(active=None, queue=ob.queue + (continuation,))
-    callee = caller if target == ob.name else config.objects[target]
+    callee = caller if target == ob.name else cog.objects[target.ident]
     callee = callee.update(active=bound.with_local("cont", ob.active.locals["destiny"]))
-    cogs = dict(config.cogs)
-    cogs[label.activity] = target
     futures = dict(config.futures)
     futures[fut] = UNRESOLVED
-    return config.with_object(
-        caller, callee, cogs=cogs, futures=futures, fut_counter=config.fut_counter + 1
+    return config.with_cog(
+        cog.with_object(caller, callee, running=target),
+        futures=futures,
+        fut_counter=config.fut_counter + 1,
     )
 
 
@@ -472,9 +457,9 @@ def _resolve_destiny(config, ob):
 
 
 def _apply_return(config, label):
-    ob = _ob(config, label)
+    cog, ob = _ob(config, label)
     futures = _resolve_destiny(config, ob)
-    return config.with_object(ob.update(active=None), futures=futures)
+    return config.with_cog(cog.with_object(ob.update(active=None)), futures=futures)
 
 
 def _apply_sync_return(config, label):
@@ -482,15 +467,15 @@ def _apply_sync_return(config, label):
     resolves its destiny and hands its cog to the waiting caller, whose
     object and queue position close the label's ``extra``; a self-call's
     caller is the callee itself."""
-    ob = _ob(config, label)
-    other = config.objects[ObjRef(label.extra[-2], label.activity)]
+    cog, ob = _ob(config, label)
+    other = cog.objects[label.extra[-2]]
     pos = label.extra[-1]
     queue = other.queue[:pos] + other.queue[pos + 1 :]
     other = other.update(active=other.queue[pos], queue=queue)
-    cogs = dict(config.cogs)
-    cogs[label.activity] = other.name
     futures = _resolve_destiny(config, ob)
-    return config.with_object(ob.update(active=None), other, futures=futures, cogs=cogs)
+    return config.with_cog(
+        cog.with_object(ob.update(active=None), other, running=other.name), futures=futures
+    )
 
 
 _RULES = {
@@ -516,12 +501,12 @@ _RULES = {
     "Cog-Sync-Return-Sched": _apply_sync_return,
 }
 
-# the rules that rewrite only their own object, so `abs_apply_step`
-# memoizes them on it: the first six read nothing else; `Activate` reads
-# and writes its cog's running object, `Return` its destiny, and the
-# `_READS_FUTURE` rules read one future
+# the rules that rewrite only their own cog, so `abs_apply_step` memoizes
+# them on it: all but those that draw a fresh cog or future name. The
+# `_RESOLVES` rules read and resolve their destiny, the `_READS_FUTURE`
+# rules read one future, and the rest read nothing outside the cog
+_RESOLVES = frozenset({"Return", "Self-Sync-Return-Sched", "Cog-Sync-Return-Sched"})
 _READS_FUTURE = frozenset({"Await-True", "Await-False", "Read-Fut"})
-_LOCAL = frozenset(
-    {"Skip", "Cond-True", "Cond-False", "Assign-Local", "Assign-Field", "Suspend",
-     "Activate", "Return"}
-) | _READS_FUTURE
+_LOCAL = frozenset(_RULES) - {
+    "New-Cog-Object", "Rendez-vous-Comm", "Rem-Sync-Call", "Cog-Sync-Call", "Self-Sync-Call"
+}

@@ -7,10 +7,12 @@ them: alpha-equivalent configurations yield equal digests.
 Shapes. Each immutable node that successor configurations share
 (statement, frame, request, thread, store cell, activity, future binder;
 process, object and cog on the cooperative side) memoizes a shape on
-itself, outside the dataclass fields, so ``==`` and ``replace`` ignore
-it. A shape is a fixed-size blake2b hash of the node's structure with
-every name written as a local slot (one character, given out in order of
-first use), plus the names in that order. A name is ``("o", index)`` for
+itself as ``_canon``, outside the dataclass fields, so ``==`` and
+``replace`` ignore it; a cog's node holds all that its shape covers (its
+running object, its next object id and its objects). A shape is a
+fixed-size blake2b hash of the node's structure with every name written
+as a local slot (one character, given out in order of first use), plus
+the names in that order. A name is ``("o", index)`` for
 a store location, ``("A", name)`` for an activity or cog and ``("F",
 name)`` for a future. One rule writes a statement of either language,
 runtime forms included: its class name, then each field but ``pos`` in
@@ -51,7 +53,7 @@ from __future__ import annotations
 
 # Not hashlib: it maps OpenSSL's libcrypto (~3.5 MB) only to hand back _blake2's.
 from _blake2 import blake2b
-from operator import attrgetter, is_, itemgetter
+from operator import itemgetter
 
 from .lang.ast_expr import node_fields
 from .masp.runtime import MaspConfig, Obj
@@ -414,39 +416,17 @@ def _ob(ob) -> tuple:
     return _shape(out, slots)
 
 
-_ident = attrgetter("name.ident")
-
-
-def _cog(config, cog, members: list) -> tuple:
-    """A cog's shape, memoized on its first member object together with
-    the rest of what it reads (running object, next id, the other
-    members), which the memo must match to be reused."""
-    active = config.cogs[cog]
-    nextid = config.id_counters.get(cog, 1)
-    members.sort(key=_ident)
-    inputs = (active, nextid, len(members))
-    if members:
-        hit = members[0].__dict__.get("_cog")
-        if (
-            hit is not None
-            and hit[0] == inputs
-            and all(map(is_, hit[1], members[1:]))
-        ):
-            return hit[2]
-    slots = {}
-    _slot(slots, ("A", cog))
-    out = [f"cog {nextid} "]
-    if active is None:
+def _cog(cog) -> tuple:
+    slots = {("A", cog.name): chr(_SLOT0)}
+    out = [f"cog {cog.next_id} "]
+    if cog.running is None:
         out.append("idle")
     else:
-        _val(active, out, slots)
+        _val(cog.running, out, slots)
     out.append("|")
-    for ob in members:
-        _child(_memo(ob, _ob), out, slots)
-    shape = _shape(out, slots)
-    if members:
-        object.__setattr__(members[0], "_cog", (inputs, tuple(members[1:]), shape))
-    return shape
+    for ob in cog.objects.values():
+        _child(ob.__dict__.get("_canon") or _memo(ob, _ob), out, slots)
+    return _shape(out, slots)
 
 
 _FUT_BOT = (digest_of("bot"), ())
@@ -459,11 +439,11 @@ def _abs_binder(value) -> tuple:
 def abs_digest(config) -> str:
     d = config.__dict__.get("_digest")
     if d is None:
-        members = {cog: [] for cog in config.cogs}
-        for ob in config.objects.values():
-            members.setdefault(ob.name.cog, []).append(ob)
         d = _digest(
-            [(*_cog(config, c, members[c]), c) for c in config.cogs],
+            [
+                (*(c.__dict__.get("_canon") or _memo(c, _cog)), name)
+                for name, c in config.cogs.items()
+            ],
             config.futures,
             _abs_binder,
         )

@@ -43,12 +43,14 @@ the dataclass fields (``==`` and ``hash`` ignore them):
   when they are ``==``, so the structural walk stops there.
 
 Activities are immutable too, and successor pairs share most of them
-along with the cooperative objects, so a third memo lives on each
+along with the cooperative cogs, so a third memo lives on each
 multi-active ``Activity``: the verdict of the cog check against one cog's
 cooperative objects. Its key is the cog name, the ``relaxed`` flag, the
-temporary prefix, and the program and the member objects (in order) by
-identity. The entry holds the program and the members, so their ids
-cannot be reused while it lives, and it dies with the activity. Beyond
+temporary prefix, and the program and the cog node's object table by
+identity (a node that only releases its cog keeps its predecessor's
+table, and the check does not read the running object). The entry holds
+the program and the table, so their ids cannot be reused while it lives,
+and it dies with the activity. Beyond
 its key, a cog check reads exactly three things, its footprint:
 
 - the future bijection (``fut_map``/``rev_map``, by ``_settle`` and
@@ -565,12 +567,9 @@ def config_equiv(
     for name, act in mcn.activities.items():
         if name not in cn.cogs and not _embryonic(act, ctx):
             return False, f"activity {name} has no cog", ctx
-    members = {cog: {} for cog in cn.cogs}
-    for o in cn.objects.values():
-        members.setdefault(o.name.cog, {})[o.name.ident] = o
-    for cog in cn.cogs:
+    for cog, node in cn.cogs.items():
         act = mcn.activities[cog]
-        ok, reason = _cog_equiv(cn, mcn, cog, act, members[cog], ctx, relaxed)
+        ok, reason = _cog_equiv(cn, mcn, cog, act, node.objects, ctx, relaxed)
         if not ok:
             return False, reason, ctx
     ok, reason = _futures_equiv(cn, mcn, ctx)
@@ -630,7 +629,7 @@ def _cog_equiv(cn, mcn, cog, act, members, ctx, relaxed=False):
     """``_check_cog``, memoized on the activity: a stored verdict is reused
     when the check's reads outside the key answer as they did."""
     program = mcn.program
-    key = (cog, relaxed, ctx.prefix, id(program), *map(id, members.values()))
+    key = (cog, relaxed, ctx.prefix, id(program), id(members))
     memo = act.__dict__.get("_cog_memo")
     if memo is None:
         memo = {}
@@ -651,7 +650,7 @@ def _cog_equiv(cn, mcn, cog, act, members, ctx, relaxed=False):
     rev_added = tuple(islice(rev_map.items(), n_rev, None))
     new_fut, new_rev = dict(fut_added), dict(rev_added)
     memo[key] = _Verdict(
-        (program, tuple(members.values())),
+        (program, members),
         ok,
         reason,
         tuple((a, None if a in new_fut else fut_map.get(a)) for a in reads.fut),
@@ -665,7 +664,7 @@ def _cog_equiv(cn, mcn, cog, act, members, ctx, relaxed=False):
 
 
 def _check_cog(cn, mcn, cog, act, members, ctx, relaxed=False):
-    """``members``: the cog's objects by identifier."""
+    """``members``: the cog's objects by identifier, in identifier order."""
     # (1b)/(1c): objects against registered (or in-flight) copies
     store, copies, witness = act.store, None, {}
     for ident, ob in members.items():
@@ -701,7 +700,7 @@ def _check_cog(cn, mcn, cog, act, members, ctx, relaxed=False):
         loc = witness[ident]
         return _task_equiv(proc, req, stack, act, cn, ctx, loc, ob, mcn.program, relaxed)
 
-    for ident, ob in sorted(members.items()):
+    for ident, ob in members.items():
         # (1d) the active task: associate threads by their request's target id
         if ob.active is not None:
             if "cont" in ob.active.locals:

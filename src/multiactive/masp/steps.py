@@ -350,14 +350,10 @@ def _outcome(config, new, act, label) -> tuple:
     rule = label.rule
     if rule == "Update":
         fut = act.store[Loc(label.extra[0])].name
-        return succ, (("futures", fut, config.futures[fut]),), ()
+        return succ, ((fut, config.futures[fut]),), ()
     if rule == "Return":
         fut = act.current[label.future].request.future
-        return (
-            succ,
-            (("futures", fut, config.futures[fut]),),
-            (("futures", fut, new.futures[fut]),),
-        )
+        return succ, ((fut, config.futures[fut]),), ((fut, new.futures[fut]),)
     return succ, (), ()
 
 

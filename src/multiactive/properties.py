@@ -23,18 +23,20 @@ class Property:
     transition: Optional[Callable] = None  # (old, new, label) -> list
 
 
-def _per_activity(check):
-    """A state property that runs ``check`` on each activity, memoizing
-    its messages on the (immutable) activity: ``check`` reads only it."""
+def _per_node(check, nodes: str = "activities"):
+    """A state property that runs ``check`` on each node of the
+    configuration's ``nodes`` table (its activities, or its cogs),
+    memoizing its messages on the (immutable) node: ``check`` reads only
+    it."""
     key = f"_{check.__name__}"
 
-    def prop(config: MaspConfig) -> list:
+    def prop(config) -> list:
         out = []
-        for act in config.activities.values():
-            msgs = act.__dict__.get(key)
+        for node in getattr(config, nodes).values():
+            msgs = node.__dict__.get(key)
             if msgs is None:
-                msgs = tuple(check(act))
-                object.__setattr__(act, key, msgs)
+                msgs = tuple(check(node))
+                object.__setattr__(node, key, msgs)
             out.extend(msgs)
         return out
 
@@ -69,8 +71,8 @@ def _limits(act) -> list:
     return out
 
 
-_safe_parallelism = _per_activity(_parallelism)
-_thread_limits = _per_activity(_limits)
+_safe_parallelism = _per_node(_parallelism)
+_thread_limits = _per_node(_limits)
 
 
 def _store_closure(config: MaspConfig) -> list:
@@ -152,20 +154,18 @@ MASP_PROPERTIES = (
 )
 
 
-def _one_active_per_cog(config: AbsConfig) -> list:
+def _one_active(cog) -> list:
+    busy = [o.name for o in cog.objects.values() if o.active is not None]
     out = []
-    for cog in config.cogs:
-        busy = [
-            o.name
-            for o in config.objects.values()
-            if o.name.cog == cog and o.active is not None
-        ]
-        if len(busy) > 1:
-            out.append(f"{cog}: several non-idle objects {busy}")
-        for name in busy:
-            if config.cogs[cog] != name:
-                out.append(f"{cog}: non-idle {name} is not the running object")
+    if len(busy) > 1:
+        out.append(f"{cog.name}: several non-idle objects {busy}")
+    for name in busy:
+        if cog.running != name:
+            out.append(f"{cog.name}: non-idle {name} is not the running object")
     return out
+
+
+_one_active_per_cog = _per_node(_one_active, "cogs")
 
 
 def _futures_write_once(old: AbsConfig, new: AbsConfig, label) -> list:
@@ -178,14 +178,15 @@ def _futures_write_once(old: AbsConfig, new: AbsConfig, label) -> list:
 
 def _destiny_totality(config: AbsConfig) -> list:
     out = []
-    for ob in config.objects.values():
-        procs = ([ob.active] if ob.active is not None else []) + list(ob.queue)
-        for p in procs:
-            dest = p.locals.get("destiny")
-            if not isinstance(dest, FutRef) or dest.name not in config.futures:
-                out.append(f"{ob.name}: process without a destiny future")
-            elif config.futures[dest.name] is not UNRESOLVED:
-                out.append(f"{ob.name}: live process with resolved destiny")
+    for cog in config.cogs.values():
+        for ob in cog.objects.values():
+            procs = ([ob.active] if ob.active is not None else []) + list(ob.queue)
+            for p in procs:
+                dest = p.locals.get("destiny")
+                if not isinstance(dest, FutRef) or dest.name not in config.futures:
+                    out.append(f"{ob.name}: process without a destiny future")
+                elif config.futures[dest.name] is not UNRESOLVED:
+                    out.append(f"{ob.name}: live process with resolved destiny")
     return out
 
 
@@ -198,12 +199,16 @@ def _fresh_fifo(old: AbsConfig, new: AbsConfig, label) -> list:
         ]
 
     out = []
-    for name, ob in new.objects.items():
-        before = old.objects.get(name)
-        if before is None or before is ob:
+    for name, cog in new.cogs.items():
+        was = old.cogs.get(name)
+        if was is None or was is cog:
             continue
-        if not _order_kept(dests(before), dests(ob)):
-            out.append(f"{name}: pending order changed under {label.rule}")
+        for ident, ob in cog.objects.items():
+            before = was.objects.get(ident)
+            if before is None or before is ob:
+                continue
+            if not _order_kept(dests(before), dests(ob)):
+                out.append(f"{ob.name}: pending order changed under {label.rule}")
     return out
 
 

@@ -48,7 +48,6 @@ from .lang.ast_expr import RuntimeVal
 from .masp.engine import initial_config
 from .masp.steps import apply_step, enabled_steps
 from .translate import _pick_prefix, detect_future_of_future, translate_program
-from .values import ObjRef
 
 AUX_BOUND = 16  # longest silent chain: remote-new registration, ~14 steps
 
@@ -217,7 +216,7 @@ def _abs_construct(config, label):
     scheduler rule."""
     if label.rule not in ("Await-True", "Await-False", "Read-Fut"):
         return RULE_CONSTRUCT.get(label.rule)
-    head = config.objects[ObjRef(label.extra[0], label.activity)].active.stmts[0]
+    head = config.cogs[label.activity].objects[label.extra[0]].active.stmts[0]
     if label.rule == "Read-Fut":
         # a get that a remote synchronous call injected reads a value
         return "sync" if isinstance(head.rhs.expr, RuntimeVal) else "get"
@@ -408,6 +407,11 @@ STEP_ROWS = {
 }
 
 
+# the responses to serving an execute request: the cog activates the
+# process, first releasing the one that has finished if it must, or not yet
+_ACTIVATE = [["Activate"], ["Release-Cog", "Activate"], []]
+
+
 def _masp_label_class(mcn, label):
     """Expected cooperative responses to a multi-active step, most
     specific first, each but ``Return``'s ending in the silent one; None
@@ -417,9 +421,9 @@ def _masp_label_class(mcn, label):
     if rule in ("Serve", "Return"):
         if not _serves_execute(mcn, label):
             return [[]]
-        return [["Activate"], []] if rule == "Serve" else [["Return"]]
+        return _ACTIVATE if rule == "Serve" else [["Return"]]
     if rule == "Activate-Thread":
-        return [["Activate"], []]
+        return _ACTIVATE
     if rule == "Update":
         return [[]]
     origin = _head_origin(mcn, label)

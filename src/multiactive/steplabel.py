@@ -49,22 +49,21 @@ ABSENT = object()
 
 def memo_step(config, node, label, handler, outcome, place):
     """``handler(config, label)`` for a rule that rewrites only ``node``,
-    an immutable activity or object, and at most a few configuration
-    cells; memoized on ``node`` as ``_next``, outside its fields, so that
-    every configuration holding ``node`` shares the result.
+    an immutable activity or cog, and at most a few futures; memoized on
+    ``node`` as ``_next``, outside its fields, so that every configuration
+    holding ``node`` shares the result.
 
     On a miss, ``outcome(config, new, node, label)`` names what the handler
     did: ``(successor node, reads, writes)``. ``reads`` is a tuple of
-    ``(cells, key, seen)``: the rule read ``seen`` at
-    ``getattr(config, cells)[key]`` (``cells`` is ``"futures"`` or
-    ``"cogs"``; ``seen`` is ``ABSENT`` for a missing key). ``writes`` is a
-    tuple of ``(cells, key, written)``: it put ``written`` there. A rule
-    that reads only ``node`` and the program has ``()`` for both. The
-    entry keeps the program, ``reads``, ``writes`` and the successor node.
-    A hit, on the same program with every ``seen`` still in place (by
-    identity, so a value rebuilt elsewhere just misses) and the successor
-    alive, returns ``place(config, successor)`` with each ``written`` put
-    back, which is what the handler would build: it read nothing else.
+    ``(future, seen)``: the rule read ``seen`` at ``config.futures[future]``
+    (``ABSENT`` for a missing future). ``writes`` is a tuple of ``(future,
+    written)``: it put ``written`` there. A rule that reads only ``node``
+    and the program has ``()`` for both. The entry keeps the program,
+    ``reads``, ``writes`` and the successor node. A hit, on the same
+    program with every ``seen`` still in place (by identity, so a value
+    rebuilt elsewhere just misses) and the successor alive, returns
+    ``place(config, successor)`` with each ``written`` put back, which is
+    what the handler would build: it read nothing else.
 
     An entry holds its successor through a weak reference when first
     stored. When a lookup finds one whose program and reads match but
@@ -81,8 +80,9 @@ def memo_step(config, node, label, handler, outcome, place):
         entry = memo.get(label)
         if entry is not None and entry[0] is config.program:
             _, reads, writes, succ = entry
-            for cells, key, seen in reads:
-                if getattr(config, cells).get(key, ABSENT) is not seen:
+            futures = config.futures
+            for fut, seen in reads:
+                if futures.get(fut, ABSENT) is not seen:
                     break
             else:
                 if succ.__class__ is weakref.ReferenceType:
@@ -91,18 +91,9 @@ def memo_step(config, node, label, handler, outcome, place):
                 if succ is not None:
                     if not writes:
                         return place(config, succ)
-                    return place(config, succ, **_written(config, writes))
+                    return place(config, succ, futures={**futures, **dict(writes)})
     new = handler(config, label)
     succ, reads, writes = outcome(config, new, node, label)
     memo[label] = (config.program, reads, writes, succ if retain else weakref.ref(succ))
     return new
 
-
-def _written(config, writes) -> dict:
-    """The cell maps of ``config`` with ``writes`` put in place, by name."""
-    changed = {}
-    for cells, key, value in writes:
-        if cells not in changed:
-            changed[cells] = dict(getattr(config, cells))
-        changed[cells][key] = value
-    return changed

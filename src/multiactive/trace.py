@@ -62,30 +62,54 @@ class Trace:
                 obj = json.loads(line)
                 kind = obj.get("type")
                 if kind == "header":
-                    header = (obj["program_digest"], obj["strategy"], obj["seed"])
+                    header = _typed(obj, _HEADER)
                 elif kind == "terminal":
                     terminal = {k: v for k, v in obj.items() if k != "type"}
                 else:
+                    index, rule, activity, digest, detail = _typed(obj, _RECORD)
+                    _typed(detail, _DETAIL, " in detail")
                     records.append(
                         StepRecord(
-                            obj["index"],
-                            obj["rule"],
-                            obj["activity"],
+                            index,
+                            rule,
+                            activity,
                             obj.get("request_future"),
                             obj.get("method"),
-                            obj.get("detail", {}),
-                            obj["config_digest"],
+                            detail,
+                            digest,
                         )
                     )
             except json.JSONDecodeError as err:
                 raise ValueError(f"line {n}: not JSON ({err.msg})") from None
-            except KeyError as err:
-                raise ValueError(f"line {n}: missing key {err}") from None
             except AttributeError:
                 raise ValueError(f"line {n}: not a JSON object") from None
+            except TypeError as err:
+                raise ValueError(f"line {n}: {err}") from None
         if header is None:
             raise ValueError("trace has no header line")
         return cls(*header, records, terminal)
+
+
+_HEADER = (("program_digest", str), ("strategy", str), ("seed", int))
+_RECORD = (
+    ("index", int), ("rule", str), ("activity", str), ("config_digest", str), ("detail", dict)
+)
+_DETAIL = (("rule", str), ("activity", str))
+_KIND = {str: "a string", int: "an integer", dict: "an object"}
+
+
+def _typed(obj: dict, fields: tuple, where: str = "") -> list:
+    """The values of ``fields``, (key, type) pairs, in order; TypeError
+    for a missing key or a value of another JSON type."""
+    values = []
+    for key, kind in fields:
+        if key not in obj:
+            raise TypeError(f"missing key {key!r}{where}")
+        v = obj[key]
+        if not isinstance(v, kind) or v.__class__ is bool:
+            raise TypeError(f"{key!r}{where} is not {_KIND[kind]}")
+        values.append(v)
+    return values
 
 
 @dataclass(frozen=True, slots=True)

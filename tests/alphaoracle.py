@@ -289,9 +289,13 @@ def abs_alpha_equiv(c1: AbsConfig, c2: AbsConfig) -> bool:
     cogs1, cogs2 = list(c1.cogs), list(c2.cogs)
     if len(cogs1) != len(cogs2) or len(c1.futures) != len(c2.futures):
         return False
-    if len(c1.objects) != len(c2.objects):
+    if sum(len(c.objects) for c in c1.cogs.values()) != sum(
+        len(c.objects) for c in c2.cogs.values()
+    ):
         return False
-    if sorted(c1.id_counters.values()) != sorted(c2.id_counters.values()):
+    if sorted(c.next_id for c in c1.cogs.values()) != sorted(
+        c.next_id for c in c2.cogs.values()
+    ):
         return False
     for perm in permutations(cogs2):
         maps = _Maps()
@@ -308,21 +312,15 @@ def abs_alpha_equiv(c1: AbsConfig, c2: AbsConfig) -> bool:
 
 
 def _match_cog(c1, c2, cog1, cog2, maps):
-    if c1.id_counters.get(cog1, 1) != c2.id_counters.get(cog2, 1):
+    if c1.cogs[cog1].next_id != c2.cogs[cog2].next_id:
         raise _Fail()
-    a1, a2 = c1.cogs[cog1], c2.cogs[cog2]
+    a1, a2 = c1.cogs[cog1].running, c2.cogs[cog2].running
     if (a1 is None) != (a2 is None):
         raise _Fail()
     if a1 is not None:
         _unify_tree(a1, a2, maps, lambda x, y: (_ for _ in ()).throw(_Fail()))
-    objs1 = sorted(
-        (o for o in c1.objects.values() if o.name.cog == cog1),
-        key=lambda o: o.name.ident,
-    )
-    objs2 = sorted(
-        (o for o in c2.objects.values() if o.name.cog == cog2),
-        key=lambda o: o.name.ident,
-    )
+    objs1 = sorted(c1.cogs[cog1].objects.values(), key=lambda o: o.name.ident)
+    objs2 = sorted(c2.cogs[cog2].objects.values(), key=lambda o: o.name.ident)
     if [o.name.ident for o in objs1] != [o.name.ident for o in objs2]:
         raise _Fail()
 

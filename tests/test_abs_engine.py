@@ -52,11 +52,12 @@ def test_initial_config_shape():
     p = parse_abs("{ vars a; a = 1 }")
     cfg = abs_initial_config(p)
     start = ObjRef(0, "a0")
-    assert set(cfg.objects) == {start}
-    ob = cfg.objects[start]
+    (cog,) = cfg.cogs.values()
+    assert cog.name == "a0" and cog.running == start and cog.next_id == 1
+    assert list(cog.objects) == [0]
+    ob = cfg.ob(start)
     assert ob.active is not None
     assert ob.active.locals["destiny"] == FutRef("f0")
-    assert cfg.cogs == {"a0": start}
     assert cfg.futures == {"f0": UNRESOLVED}
 
 
@@ -78,14 +79,14 @@ class W() { method go() { return 1 } }
     # step main until the await is the head
     while True:
         labels = [l for l in abs_enabled_steps(cfg) if l.activity == "a0"]
-        ob = cfg.objects[ObjRef(0, "a0")]
+        ob = cfg.ob(ObjRef(0, "a0"))
         if ob.active and isinstance(ob.active.stmts[0], AAwait):
             break
         cfg = abs_apply_step(cfg, labels[0])
     # future unresolved: Await-False with every insertion position
     labels = [l for l in abs_enabled_steps(cfg) if l.activity == "a0" and l.rule.startswith("Await")]
     assert {l.rule for l in labels} == {"Await-False"}
-    assert len(labels) == len(cfg.objects[ObjRef(0, "a0")].queue) + 1
+    assert len(labels) == len(cfg.ob(ObjRef(0, "a0")).queue) + 1
     # resolve the future by letting the callee run
     while True:
         others = [l for l in abs_enabled_steps(cfg) if l.activity != "a0"]
@@ -105,7 +106,7 @@ class W() { method go() { return 1 } }
     )
     cfg = abs_initial_config(p)
     while True:
-        ob = cfg.objects[ObjRef(0, "a0")]
+        ob = cfg.ob(ObjRef(0, "a0"))
         if ob.active and isinstance(ob.active.stmts[0], AAssign) and isinstance(
             ob.active.stmts[0].rhs, AGet
         ):
@@ -121,8 +122,8 @@ def test_new_cog_object_creates_idle_cog():
     cfg = abs_initial_config(p)
     lab = [l for l in abs_enabled_steps(cfg) if l.rule == "New-Cog-Object"][0]
     cfg2 = abs_apply_step(cfg, lab)
-    assert cfg2.cogs["a1"] is None
-    ob = cfg2.objects[ObjRef(1, "a1")]
+    assert cfg2.cogs["a1"].running is None
+    ob = cfg2.ob(ObjRef(1, "a1"))
     assert ob.active is None and ob.queue == ()
 
 
@@ -142,7 +143,7 @@ class C() {
     )
     ob_name = ObjRef(sync[0].extra[0], sync[0].activity)
     cfg2 = abs_apply_step(cfg, sync[0])
-    ob = cfg2.objects[ob_name]
+    ob = cfg2.ob(ob_name)
     assert "cont" in ob.active.locals
     continuation = ob.queue[-1]
     assert isinstance(continuation.stmts[0], AAwait)
@@ -168,7 +169,7 @@ def test_cog_sync_call_checks_the_callee_id():
     with pytest.raises(EngineFault):
         abs_apply_step(cfg, wrong)
     succ = abs_apply_step(cfg, label)
-    assert succ.cogs[label.activity] == ObjRef(1, label.activity)
+    assert succ.cogs[label.activity].running == ObjRef(1, label.activity)
     # the callee hands its cog back to the waiting caller, and the run ends
     final, trace = abs_run(abs_initial_config(p), budget=200)
     assert "abs:Cog-Sync-Return-Sched" in [r.rule for r in trace.records]
@@ -192,7 +193,7 @@ def test_return_without_cont_resolves_and_idles():
     )
     cfg2 = abs_apply_step(cfg, rets[0])
     assert cfg2.futures[rets[0].future] == 2
-    ob = cfg2.objects[ObjRef(rets[0].extra[0], rets[0].activity)]
+    ob = cfg2.ob(ObjRef(rets[0].extra[0], rets[0].activity))
     assert ob.active is None
 
 
@@ -243,10 +244,10 @@ def test_rendezvous_is_synchronous_enqueue():
     before_futures = set(cfg.futures)
     cfg2 = abs_apply_step(cfg, rv[0])
     (new_fut,) = set(cfg2.futures) - before_futures
-    callee = [o for o in cfg2.objects.values() if o.name.cog != "a0"][0]
+    callee = [o for c in cfg2.cogs.values() if c.name != "a0" for o in c.objects.values()][0]
     assert callee.queue and callee.queue[0].locals["destiny"] == FutRef(new_fut)
     # caller's statement now assigns the future
-    main = cfg2.objects[ObjRef(0, "a0")]
+    main = cfg2.ob(ObjRef(0, "a0"))
     assert main.active.stmts[0].rhs.value == FutRef(new_fut)
 
 
@@ -287,7 +288,7 @@ def test_seeded_abs_run_matches_pin(name):
 def test_abs_update_rejects_unknown_fields():
     cfg = abs_initial_config(parse_abs("{ vars a; a = 1 }"))
     with pytest.raises(TypeError):
-        cfg.objects[ObjRef(0, "a0")].update(nope=1)
+        cfg.ob(ObjRef(0, "a0")).update(nope=1)
     with pytest.raises(TypeError):
         cfg.update(nope=1)
 
@@ -295,7 +296,7 @@ def test_abs_update_rejects_unknown_fields():
 def test_abs_update_carries_no_memo_to_the_successor(bank):
     cfg = abs_initial_config(bank)
     before = abs_digest(cfg)
-    ob = cfg.objects[ObjRef(0, "a0")]
-    idle = cfg.with_object(ob.update(active=None, queue=(ob.active,)))
+    ob = cfg.ob(ObjRef(0, "a0"))
+    idle = cfg.with_cog(cfg.cogs["a0"].with_object(ob.update(active=None, queue=(ob.active,))))
     assert abs_digest(idle) != before
-    assert cfg.objects[ObjRef(0, "a0")].update(active=ob.active) == ob
+    assert cfg.ob(ObjRef(0, "a0")).update(active=ob.active) == ob

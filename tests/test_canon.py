@@ -9,7 +9,7 @@ import pytest
 from alphaoracle import abs_alpha_equiv, masp_alpha_equiv
 from multiactive import canon, corpus_path, parse_abs, parse_masp, pretty_abs, pretty_masp
 from multiactive.absm.engine import abs_initial_config
-from multiactive.absm.runtime import AbsConfig, Ob, Process, RGFut
+from multiactive.absm.runtime import AbsConfig, Cog, Ob, Process, RGFut
 from multiactive.absm.steps import abs_apply_step, abs_enabled_steps
 from multiactive.canon import abs_digest, masp_digest
 from multiactive.explore import explore, semantics_of
@@ -462,22 +462,19 @@ def _look_alike_cogs(x, y):
     process holds ``x`` and ``y``."""
     ret = (AReturn(Lit(None)),)
     main = ObjRef(0, "a0")
-    objects = {
-        main: Ob(main, None, {"cog": ActRef("a0")},
-                 Process({"this": main, "destiny": FutRef("f0"), "x": x, "y": y}, ret), ()),
-    }
+    start = Ob(main, None, {"cog": ActRef("a0")},
+               Process({"this": main, "destiny": FutRef("f0"), "x": x, "y": y}, ret), ())
+    cogs = {"a0": Cog("a0", main, 1, {0: start})}
     for me, other in (("a1", "a2"), ("a2", "a1")):
         ref = ObjRef(1, me)
-        objects[ref] = Ob(ref, "Worker", {"cog": ActRef(me), "peer": ObjRef(1, other)}, None, ())
-    return AbsConfig(
-        load_abs("bank_account.abs"), objects, {"a0": main, "a1": None, "a2": None},
-        {"f0": UNRESOLVED}, 3, 1, {"a0": 1, "a1": 2, "a2": 2},
-    )
+        worker = Ob(ref, "Worker", {"cog": ActRef(me), "peer": ObjRef(1, other)}, None, ())
+        cogs[me] = Cog(me, None, 2, {1: worker})
+    return AbsConfig(load_abs("bank_account.abs"), cogs, {"f0": UNRESOLVED}, 3, 1)
 
 
 def _rename_abs(config, cog_map, fut_map):
-    """Consistent renaming of cogs and futures, everything listed in
-    reverse order (the hand-built processes hold no runtime values)."""
+    """Consistent renaming of cogs and futures, cogs and futures listed
+    in reverse order (the hand-built processes hold no runtime values)."""
 
     def val(v):
         if isinstance(v, ActRef):
@@ -491,18 +488,23 @@ def _rename_abs(config, cog_map, fut_map):
     def proc(p):
         return None if p is None else Process({k: val(v) for k, v in p.locals.items()}, p.stmts)
 
-    objects = {}
-    for ref, ob in reversed(config.objects.items()):
-        objects[val(ref)] = Ob(
-            val(ref), ob.cls, {k: val(v) for k, v in ob.fields.items()},
-            proc(ob.active), tuple(proc(p) for p in ob.queue),
+    def ob(o):
+        return Ob(
+            val(o.name), o.cls, {k: val(v) for k, v in o.fields.items()},
+            proc(o.active), tuple(proc(p) for p in o.queue),
         )
+
+    cogs = {
+        cog_map[c]: Cog(
+            cog_map[c], val(cog.running), cog.next_id,
+            {i: ob(o) for i, o in cog.objects.items()},
+        )
+        for c, cog in reversed(config.cogs.items())
+    }
     return AbsConfig(
-        config.program, objects,
-        {cog_map[c]: val(a) for c, a in reversed(config.cogs.items())},
+        config.program, cogs,
         {fut_map[f]: val(v) for f, v in reversed(config.futures.items())},
         config.cog_counter, config.fut_counter,
-        {cog_map[c]: n for c, n in config.id_counters.items()},
     )
 
 

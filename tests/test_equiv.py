@@ -24,12 +24,7 @@ from conftest import ABS_CORPUS, load_abs
 
 
 def _abs_cn(futures=None):
-    return AbsConfig(
-        program=parse_abs("{ }"),
-        objects={},
-        cogs={},
-        futures=futures or {},
-    )
+    return AbsConfig(program=parse_abs("{ }"), cogs={}, futures=futures or {})
 
 
 def _ctx():
@@ -159,8 +154,8 @@ def test_extra_active_thread_rejected():
     cn = abs_initial_config(p)
     mcn = initial_config(translate_program(p))
     # idle the cooperative main while the translation still runs it
-    start = next(iter(cn.objects.values()))
-    cn2 = cn.with_object(start.update(active=None))
+    start = cn.ob(ObjRef(0, "a0"))
+    cn2 = _put(cn, start.update(active=None))
     ok, _, _ = config_equiv(cn2, mcn)
     assert not ok
 
@@ -204,14 +199,19 @@ def _initial(cn, mcn):
     return True
 
 
+def _put(cn, ob):
+    """``cn`` with ``ob`` put in place in its cog."""
+    return cn.with_cog(cn.cogs[ob.name.cog].with_object(ob))
+
+
 def _with_active_local(cn, ref, name, value):
-    ob = cn.objects[ref]
-    return cn.with_object(ob.update(active=ob.active.with_local(name, value)))
+    ob = cn.ob(ref)
+    return _put(cn, ob.update(active=ob.active.with_local(name, value)))
 
 
 def _with_queued_local(cn, ref, name, value):
-    ob = cn.objects[ref]
-    return cn.with_object(ob.update(queue=(ob.queue[0].with_local(name, value), *ob.queue[1:])))
+    ob = cn.ob(ref)
+    return _put(cn, ob.update(queue=(ob.queue[0].with_local(name, value), *ob.queue[1:])))
 
 
 def _with_execute(mcn, act_name, fut, state=None):
@@ -231,7 +231,9 @@ def _with_binder(mcn, fut, binder):
 
 
 def _without_object(cn, ref):
-    return cn.update(objects={r: o for r, o in cn.objects.items() if r != ref})
+    cog = cn.cogs[ref.cog]
+    objects = {i: o for i, o in cog.objects.items() if i != ref.ident}
+    return cn.with_cog(cog.update(objects=objects))
 
 
 # (pair, perturbation of (cn, mcn), expected (ok, reason)): one row per

@@ -3,8 +3,8 @@
 Every ``config_equiv`` call that the forward and backward checks make on
 the pinned corpus cases is repeated on field-for-field copies of both
 configurations, which carry no memo, and must give the same verdict,
-reason and future bijection. The hand-built cases share a cog's objects
-and its activity between two calls but change one read outside the memo
+reason and future bijection. The hand-built cases share a cog's object
+table and its activity between two calls but change one read outside the memo
 key, so the second call must not reuse the first verdict.
 """
 
@@ -13,7 +13,7 @@ import pytest
 import multiactive.equiv as equiv
 import multiactive.simulate as simulate
 from multiactive.absm.engine import abs_initial_config
-from multiactive.absm.runtime import AbsConfig, Ob
+from multiactive.absm.runtime import AbsConfig, Cog, Ob
 from multiactive.equiv import EquivContext, config_equiv
 from multiactive.lang import parse_abs
 from multiactive.masp.engine import initial_config
@@ -26,9 +26,14 @@ from test_simulate import PINNED_REPORTS
 
 
 def _rebuilt(cn, mcn):
-    """Copies of both configurations down to each object and activity,
-    so no memo on the originals reaches them."""
-    cn2 = cn.update(objects={r: evolve(o, {}) for r, o in cn.objects.items()})
+    """Copies of both configurations down to each cog, object and
+    activity, so no memo on the originals reaches them."""
+    cn2 = cn.update(
+        cogs={
+            n: c.update(objects={i: evolve(o, {}) for i, o in c.objects.items()})
+            for n, c in cn.cogs.items()
+        }
+    )
     mcn2 = mcn.update(
         activities={n: evolve(a, {}) for n, a in mcn.activities.items()}
     )
@@ -100,9 +105,12 @@ def _with_user_local(mcn, name, value, cells=None):
 
 def _with_pending_local(cn, name, fut):
     """The main process with a local holding the unresolved future ``fut``."""
-    (main,) = cn.objects.values()
+    (cog,) = cn.cogs.values()
+    (main,) = cog.objects.values()
     proc = main.active.with_local(name, FutRef(fut))
-    return cn.with_object(main.update(active=proc), futures={**cn.futures, fut: UNRESOLVED})
+    return cn.with_cog(
+        cog.with_object(main.update(active=proc)), futures={**cn.futures, fut: UNRESOLVED}
+    )
 
 
 def _assert_fresh(cn, mcn, ctx=None):
@@ -174,8 +182,7 @@ def test_memo_misses_when_a_predicted_id_changes():
     ref = ObjRef(1, "a")
     cn = AbsConfig(
         parse_abs("{ }"),
-        {ref: Ob(ref, "C", {"cog": ActRef("a")}, None, ())},
-        {"a": None},
+        {"a": Cog("a", None, 2, {1: Ob(ref, "C", {"cog": ActRef("a")}, None, ())})},
         {},
     )
     mcn1, holder, server = _pending_id_config(1)

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from multiactive.absm.engine import abs_initial_config
+from multiactive.absm.runtime import AbsConfig, Cog, Ob, Process
 from multiactive.explore import (
     MASP_PROPERTIES,
     Property,
@@ -14,14 +15,16 @@ from multiactive.explore import (
     levels,
     semantics_of,
 )
-from multiactive.lang import parse_masp
+from multiactive.lang import parse_abs, parse_masp
+from multiactive.lang.ast_abs import ASkip
 from multiactive.masp.engine import initial_config
 from multiactive.masp.runtime import Activity, Frame, Request, Thread
 from multiactive.masp.steps import apply_step, enabled_steps
 from multiactive.policy import resolve_policy
 from multiactive.steplabel import Label
 from multiactive.translate import translate_program
-from multiactive.values import FutRef
+from multiactive.properties import ABS_PROPERTIES
+from multiactive.values import UNRESOLVED, ActRef, FutRef, ObjRef
 
 from conftest import load_abs, load_masp
 from test_simulate import _reference_states
@@ -189,6 +192,113 @@ class Srv() {
     assert fifo(queued, queued, skip) == []
 
 
+def _abs_config(objects, running, futures):
+    """A cooperative configuration holding ``objects`` (in creation
+    order), with each cog's running object and the futures given."""
+    cogs = {c: Cog(c, r, 1, {}) for c, r in running.items()}
+    for o in objects:
+        cogs[o.name.cog] = cogs[o.name.cog].with_object(o, next_id=o.name.ident + 1)
+    return AbsConfig(parse_abs("{ }"), cogs, futures)
+
+
+def _proc(dest):
+    return Process({} if dest is None else {"destiny": FutRef(dest)}, (ASkip(),))
+
+
+def _obj(ident, cog, active=None, queue=()):
+    """An object of cog ``cog``; ``active`` and ``queue`` name destinies."""
+    return Ob(
+        ObjRef(ident, cog),
+        "C",
+        {"cog": ActRef(cog)},
+        None if active is False else _proc(active),
+        tuple(_proc(d) for d in queue),
+    )
+
+
+_U = UNRESOLVED
+# (property, objects in creation order, running objects, futures, messages);
+# 1_a1 is created between 0_a0 and 1_a0, as a main block that creates a
+# cog and then an object of its own cog does; messages come cog by cog
+_ABS_STATE_CASES = {
+    "several-busy": (
+        "one-active-per-cog",
+        [_obj(0, "a0", "f1"), _obj(1, "a0", "f2")],
+        {"a0": ObjRef(0, "a0")},
+        {"f1": _U, "f2": _U},
+        [
+            "a0: several non-idle objects [0_a0, 1_a0]",
+            "a0: non-idle 1_a0 is not the running object",
+        ],
+    ),
+    "busy-not-running": (
+        "one-active-per-cog",
+        [_obj(0, "a0", False), _obj(1, "a1", "f1")],
+        {"a0": None, "a1": None},
+        {"f1": _U},
+        ["a1: non-idle 1_a1 is not the running object"],
+    ),
+    "destinies": (
+        "destiny-totality",
+        [_obj(0, "a0", None), _obj(1, "a1", False, ["f1", "f9"]), _obj(1, "a0", "f1", ["f2"])],
+        {"a0": None, "a1": None},
+        {"f1": 5, "f2": _U},
+        [
+            "0_a0: process without a destiny future",
+            "1_a0: live process with resolved destiny",
+            "1_a1: live process with resolved destiny",
+            "1_a1: process without a destiny future",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_ABS_STATE_CASES))
+def test_abs_state_property_messages(case):
+    name, objects, running, futures, messages = _ABS_STATE_CASES[case]
+    (prop,) = [p for p in ABS_PROPERTIES if p.name == name]
+    cfg = _abs_config(objects, running, futures)
+    assert prop.state(cfg) == messages
+    assert prop.state(cfg) == messages  # a second look reads the same
+    calm = _abs_config([_obj(0, "a0", "f1")], {"a0": ObjRef(0, "a0")}, {"f1": _U})
+    assert prop.state(calm) == []
+
+
+def test_abs_transition_property_messages():
+    props = {p.name: p.transition for p in ABS_PROPERTIES if p.transition}
+    step = Label("Activate", "a0", "f1", (1,))
+    running = {"a0": None, "a1": None}
+    # futures-write-once: a resolved future rewritten or dropped
+    old = _abs_config([], running, {"f1": 1, "f2": _U, "f3": 3})
+    new = _abs_config([], running, {"f1": 2, "f2": 7})
+    assert props["futures-write-once"](old, new, step) == [
+        "future f1 changed after resolution",
+        "future f3 changed after resolution",
+    ]
+    assert props["futures-write-once"](old, old, step) == []
+    # fresh-request-fifo: two reordered queues; an object kept as it is,
+    # one that loses its head and one created by the step are not reported
+    before = [
+        _obj(0, "a0", False, ["f1", "f2"]),
+        _obj(1, "a1", False, ["f3", "f4"]),
+        _obj(1, "a0", False, ["f5", "f6"]),
+        _obj(2, "a0", False, ["f7", "f8"]),
+    ]
+    after = [
+        before[0],
+        before[1].update(queue=before[1].queue[::-1]),
+        before[2].update(queue=before[2].queue[::-1]),
+        before[3].update(queue=before[3].queue[1:]),
+        _obj(3, "a0", False, ["f10", "f9"]),
+    ]
+    old, new = _abs_config(before, running, {}), _abs_config(after, running, {})
+    assert props["fresh-request-fifo"](old, new, step) == [
+        "1_a0: pending order changed under Activate",
+        "1_a1: pending order changed under Activate",
+    ]
+    assert props["fresh-request-fifo"](old, old, step) == []
+
+
 def test_width_caps_the_states_reported():
     cfg = initial_config(load_masp("peer_policy.masp"))
     full = explore(cfg, depth=60, width=100, properties=default_properties(cfg))
@@ -299,10 +409,16 @@ EXPLORE_PINS = {
 
 # No translated exploration reaches a terminal state or a violation within
 # that width, so its JSON holds only counts (two pairs of programs share
-# one). These pin the states each one visits: the SHA-256 of the sorted
+# one), and a cooperative exploration's JSON holds only its terminal
+# digests. These pin the states each one visits: the SHA-256 of the sorted
 # canonical digests, one per line. Re-pin one only after checking that
 # the new digests partition the same states as the old.
 VISIT_PINS = {
+    "bank_account.abs": "daf6ef04619fc792f3d47edb20eee789b501c4e09f5d099cb2a2a163caca6130",
+    "leader_election.abs": "b3865a21655ed4cb0876392413d99e77a14e6fbd38a90f3a1fded68b22e024a4",
+    "chat.abs": "74a4f4e0f66577dae18180c5b67ebb4f296476343786f92947d032020bbae155",
+    "mapreduce.abs": "b0345291daef943a48badcb69392b331827dcad8aaa48a6210646265c0768963",
+    "futures_of_futures.abs": "fd2e83817efa1cf76d36da56bdde7a1b9049b248efcb5fedbb47c3e502ce7815",
     "bank_account.abs>masp": "d929e2ff426bb86162d73d2669ffab746271606b7bdf3aa4faf53ec1312ea5cb",
     "leader_election.abs>masp": "0e5ed179af07b2d3fca940648061aed571544b7cebd54bbe1acbef64e98b1a5c",
     "chat.abs>masp": "41a181d9314438bb13a3b119ef7c192ca5d507dcfd69f99df8d0c04f97c218d7",

@@ -82,7 +82,7 @@ class _PairGen:
 
     def cn(self):
         return AbsConfig(
-            program=parse_abs("{ }"), objects={}, cogs={}, futures=dict(self.futures)
+            program=parse_abs("{ }"), cogs={}, futures=dict(self.futures)
         )
 
 
@@ -288,7 +288,7 @@ def _run_counting_retrieves(program, seed):
 
 
 def _empty_cn():
-    return AbsConfig(program=parse_abs("{ }"), objects={}, cogs={}, futures={})
+    return AbsConfig(program=parse_abs("{ }"), cogs={}, futures={})
 
 
 def test_invariant_reg_over_500_retrieves():

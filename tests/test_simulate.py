@@ -571,3 +571,29 @@ def test_a_wrong_main_block_fails_the_initial_pair(monkeypatch):
             {side: "initial", "found": "object 0_a0: active task differs"}
         ]
         assert rep.states == 0 and rep.steps_checked == 0
+
+
+def _backward_walks(p, walks, steps, seed):
+    """Seeded random walks of the backward check: from the initial pair,
+    each step checks every multi-active step of the pair, as the level
+    search does, and moves to one matched successor pair at random. The
+    number of walks that reach a failure."""
+    rng = random.Random(seed)
+    failed = 0
+    for _ in range(walks):
+        report = simulate.SimulationReport("backward")
+        pairs = simulate._initial_pairs(report, p)
+        for _ in range(steps):
+            if not pairs or report.failures:
+                break
+            pairs = simulate._backward_steps(report, *rng.choice(pairs))
+        failed += bool(report.failures)
+    return failed
+
+
+@pytest.mark.parametrize("name", ["leader_election.abs", "mapreduce.abs"])
+def test_backward_walks_find_a_response_to_every_step(name):
+    # Serve and Activate-Thread of an execute request, answered by a cog
+    # that must first release its finished process, fail without the
+    # Release-Cog, Activate row
+    assert _backward_walks(load_abs(name), walks=20, steps=2000, seed=7) == 0

@@ -2,11 +2,11 @@
 
 Every ``apply_step``/``abs_apply_step`` call that ``explore`` makes on the
 corpus and on ``genprog`` programs is repeated by the rule's handler on a
-field-for-field copy of the configuration, down to each activity and
-object, which carries no memo; the two successors must be equal and have
-equal digests. The hand-built cases pin what a memo entry reads: the
-node, the program and the configuration cells its rule reads (a future's
-binder or value, a cog's running object), and when it keeps its
+field-for-field copy of the configuration, down to each activity, cog
+and object, which carries no memo; the two successors must be equal and
+have equal digests. The hand-built cases pin what a memo entry reads:
+the node (an activity or a cog), the program and the configuration cells
+its rule reads (a future's binder or value), and when it keeps its
 successor alive.
 
 The enabledness tests apply, at states that ``explore`` reaches, every
@@ -43,13 +43,18 @@ from conftest import ABS_CORPUS, MASP_CORPUS, load_abs, load_masp
 
 
 def _rebuilt(config):
-    """A copy of ``config`` down to each activity or object, so no memo
-    on the originals reaches it."""
+    """A copy of ``config`` down to each activity, or each cog and object,
+    so no memo on the originals reaches it."""
     if isinstance(config, MaspConfig):
         return config.update(
             activities={n: evolve(a, {}) for n, a in config.activities.items()}
         )
-    return config.update(objects={r: evolve(o, {}) for r, o in config.objects.items()})
+    return config.update(
+        cogs={
+            n: c.update(objects={i: evolve(o, {}) for i, o in c.objects.items()})
+            for n, c in config.cogs.items()
+        }
+    )
 
 
 @pytest.fixture
@@ -442,13 +447,13 @@ def test_non_local_rules_store_no_entry():
         nxt = abs_steps.abs_apply_step(cfg, label)
         if label.rule in _ABS_GLOBAL:
             applied.add(label.rule)
-            for ob in cfg.objects.values():
-                assert label not in ob.__dict__.get("_next", {})
+            for cog in cfg.cogs.values():
+                assert label not in cog.__dict__.get("_next", {})
         cfg = nxt
     assert applied == set(_ABS_GLOBAL)
 
 
-_ABS_GLOBAL = ("Release-Cog", "Rendez-vous-Comm")
+_ABS_GLOBAL = ("New-Cog-Object", "Rendez-vous-Comm")
 
 
 # -- hand-built cooperative cases ---------------------------------------------
@@ -502,10 +507,10 @@ def test_activate_misses_while_its_cog_runs_another_object():
     s = _abs_called()
     activate = _abs_label(s, "Activate")
     one, two = abs_steps.abs_apply_step(s, activate), abs_steps.abs_apply_step(s, activate)
-    ref = ObjRef(activate.extra[0], activate.activity)
-    assert one.objects[ref] is two.objects[ref]
-    assert two.cogs[activate.activity] == ref and two == _abs_fresh(s, activate)
-    busy = s.update(cogs={**s.cogs, activate.activity: ObjRef(2, activate.activity)})
+    ref, cog = ObjRef(activate.extra[0], activate.activity), s.cogs[activate.activity]
+    assert one.cogs[cog.name] is two.cogs[cog.name]
+    assert two.cogs[cog.name].running == ref and two == _abs_fresh(s, activate)
+    busy = s.with_cog(cog.update(running=ObjRef(2, cog.name)))
     with pytest.raises(EngineFault):
         abs_steps.abs_apply_step(busy, activate)
 
@@ -513,7 +518,7 @@ def test_activate_misses_while_its_cog_runs_another_object():
 def test_await_false_then_await_true_across_the_resolution():
     s = _abs_steps(_abs_called(), "Assign-Local")
     waiting = _abs_label(s, "Await-False")
-    fut = s.objects[ObjRef(0, "a0")].active.locals["f"].name
+    fut = s.ob(ObjRef(0, "a0")).active.locals["f"].name
     parked = abs_steps.abs_apply_step(s, waiting)  # holds the entry's successor
     resolved = _with_future(s, fut, 3)
     with pytest.raises(EngineFault):
@@ -533,19 +538,18 @@ def test_return_puts_its_written_value_back_on_a_hit():
     # main steps first: another configuration holding the same Box
     other = _abs_steps(s, "Assign-Local")
     hit = abs_steps.abs_apply_step(other, ret)
-    ref = ObjRef(ret.extra[0], ret.activity)
-    assert hit.objects[ref] is first.objects[ref]
+    assert hit.cogs[ret.activity] is first.cogs[ret.activity]
     assert hit == _abs_fresh(other, ret)
     assert hit.futures[ret.future] == 3
 
 
 def test_read_fut_misses_on_another_value():
     s = _abs_steps(_abs_called(), "Assign-Local")
-    fut = s.objects[ObjRef(0, "a0")].active.locals["f"].name
+    fut = s.ob(ObjRef(0, "a0")).active.locals["f"].name
     s = _abs_steps(_with_future(s, fut, 3), "Await-True")
     read = _abs_label(s, "Read-Fut")
     first = abs_steps.abs_apply_step(s, read)
     other = _with_future(s, fut, 4)
     second = abs_steps.abs_apply_step(other, read)
     assert second == _abs_fresh(other, read)
-    assert second.objects[ObjRef(0, "a0")] != first.objects[ObjRef(0, "a0")]
+    assert second.ob(ObjRef(0, "a0")) != first.ob(ObjRef(0, "a0"))

@@ -158,17 +158,56 @@ def test_cli_trace_dump(tmp_path, capsys):
     assert "strategy=fifo-eager" in shown
 
 
-@pytest.mark.parametrize(
-    "text,message",
-    [
-        ('{"type":"header"}\n', "line 1: missing key 'program_digest'"),
-        ("not json\n", "line 1: not JSON (Expecting value)"),
-    ],
-    ids=["header-without-fields", "not-json"],
-)
+_HEADER = '{"type":"header","program_digest":"d","strategy":"fifo-eager","seed":0}'
+_DETAIL = '{"rule":"Skip","activity":"a0","future":null,"extra":[0]}'
+
+
+def _record(**changes) -> str:
+    """A trace record line with some fields replaced (``None`` drops one)."""
+    rec = {"index": 0, "rule": "abs:Skip", "activity": "a0", "request_future": None,
+           "method": None, "detail": json.loads(_DETAIL), "config_digest": ""}
+    rec.update(changes)
+    return json.dumps({k: v for k, v in rec.items() if v is not None or k not in changes})
+
+
+_MALFORMED = {
+    "header-without-fields": ('{"type":"header"}', "line 1: missing key 'program_digest'"),
+    "not-json": ("not json", "line 1: not JSON (Expecting value)"),
+    "seed-not-int": (_HEADER.replace('"seed":0', '"seed":"0"'), "line 1: 'seed' is not an integer"),
+    "seed-bool": (_HEADER.replace('"seed":0', '"seed":true'), "line 1: 'seed' is not an integer"),
+    "strategy-not-str": (
+        _HEADER.replace('"fifo-eager"', "5"), "line 1: 'strategy' is not a string"
+    ),
+    "digest-null": (
+        _HEADER.replace('"d"', "null"), "line 1: 'program_digest' is not a string"
+    ),
+    "index-not-int": (_HEADER + "\n" + _record(index="zz"), "line 2: 'index' is not an integer"),
+    "rule-null": (
+        _HEADER + "\n" + _record().replace('"abs:Skip"', "null"), "line 2: 'rule' is not a string"
+    ),
+    "activity-not-str": (
+        _HEADER + "\n" + _record(activity=5), "line 2: 'activity' is not a string"
+    ),
+    "config-digest-missing": (
+        _HEADER + "\n" + _record(config_digest=None), "line 2: missing key 'config_digest'"
+    ),
+    "detail-not-object": (_HEADER + "\n" + _record(detail=5), "line 2: 'detail' is not an object"),
+    "detail-missing": (_HEADER + "\n" + _record(detail=None), "line 2: missing key 'detail'"),
+    "detail-without-activity": (
+        _HEADER + "\n" + _record(detail={"rule": "Skip"}),
+        "line 2: missing key 'activity' in detail",
+    ),
+    "detail-rule-not-str": (
+        _HEADER + "\n" + _record(detail={"rule": 3, "activity": "a0"}),
+        "line 2: 'rule' in detail is not a string",
+    ),
+}
+
+
+@pytest.mark.parametrize("text,message", list(_MALFORMED.values()), ids=list(_MALFORMED))
 def test_cli_trace_dump_malformed_is_one_line(tmp_path, capsys, text, message):
     f = tmp_path / "bad.jsonl"
-    f.write_text(text)
+    f.write_text(text + "\n")
     assert cli(["trace", "dump", str(f)]) == 1
     captured = capsys.readouterr()
     assert captured.err == f"{f}: {message}\n"
