@@ -11,7 +11,10 @@ with the destiny that `Return` reads and resolves, and the future that
 once it had to be rebuilt), `canon` the shapes of a cog, an object and
 a process (`_canon`), `explore` what one-active-per-cog finds in a cog,
 and `equiv` its verdicts against a cog's objects (`_cog_memo` on the
-activity, keyed on the cog's object table).
+activity, keyed on the cog's object table). The future a memoized step
+read matches by value (`values.same`), and a cog that `canon` finds
+interchangeable with one it shaped before borrows that cog's memos,
+`_next` by reference, as an activity does.
 """
 
 from __future__ import annotations

@@ -45,6 +45,16 @@ nodes, the changed activity's composition over its children's names,
 and one entry per activity and future. The digest is memoized on the
 configuration.
 
+Sharing. An activity or cog rebuilt along another path is often equal
+to one shaped before. The first time a unit node is shaped, it is looked
+up by shape in a table on its program that holds nodes weakly
+(``_unit``); if the node found there is interchangeable with it
+(``values.same``: equal with the same classes all the way down, dicts in
+the same key order, ``pos`` and ``origin`` fields included), the new
+node borrows its memos: step successors, labels, property messages and
+equivalence verdicts. Its steps then reuse the successors the first
+node's steps built.
+
 Hash. BLAKE2b comes from CPython's built-in ``_blake2`` module, the one
 ``hashlib.blake2b`` is itself bound to.
 """
@@ -54,10 +64,11 @@ from __future__ import annotations
 # Not hashlib: it maps OpenSSL's libcrypto (~3.5 MB) only to hand back _blake2's.
 from _blake2 import blake2b
 from operator import itemgetter
+from weakref import WeakValueDictionary
 
 from .lang.ast_expr import node_fields
 from .masp.runtime import MaspConfig, Obj
-from .values import UNRESOLVED, ActRef, FutRef, Loc, MethodVal, ObjRef, show_value
+from .values import UNRESOLVED, ActRef, FutRef, Loc, MethodVal, ObjRef, same, show_value
 
 
 def digest_of(text: str) -> str:
@@ -81,6 +92,31 @@ def _memo(obj, build):
         hit = build(obj)
         object.__setattr__(obj, "_canon", hit)
     return hit
+
+
+def _unit(node, build, program) -> tuple:
+    """``_memo(node, build)`` for an activity or a cog shaped for the
+    first time, then its lookup in the program's weak table ``_units``
+    under its shape, which names the node first (see "Sharing"). A node
+    new to the table enters it; one ``same`` as the node found there
+    borrows each memo it lacks from it, by reference. The table's node
+    first gets an empty ``_next`` if it has none, so both add to one."""
+    shape = build(node)
+    object.__setattr__(node, "_canon", shape)
+    table = program.__dict__.get("_units")
+    if table is None:
+        table = WeakValueDictionary()
+        object.__setattr__(program, "_units", table)
+    twin = table.get(shape)
+    if twin is None:
+        table[shape] = node
+    elif same(twin, node):
+        twin.__dict__.setdefault("_next", {})
+        memos = node.__dict__
+        for key, memo in twin.__dict__.items():
+            if key not in memos:
+                memos[key] = memo
+    return shape
 
 
 def _slot(slots: dict, ref) -> str:
@@ -387,9 +423,10 @@ def _binder_shape(b) -> tuple:
 def masp_digest(config: MaspConfig) -> str:
     d = config.__dict__.get("_digest")
     if d is None:
+        p = config.program
         d = _digest(
             [
-                (*(a.__dict__.get("_canon") or _memo(a, _activity)), a.name)
+                (*(a.__dict__.get("_canon") or _unit(a, _activity, p)), a.name)
                 for a in config.activities.values()
             ],
             config.futures,
@@ -439,9 +476,10 @@ def _abs_binder(value) -> tuple:
 def abs_digest(config) -> str:
     d = config.__dict__.get("_digest")
     if d is None:
+        p = config.program
         d = _digest(
             [
-                (*(c.__dict__.get("_canon") or _memo(c, _cog)), name)
+                (*(c.__dict__.get("_canon") or _unit(c, _cog, p)), name)
                 for name, c in config.cogs.items()
             ],
             config.futures,

@@ -49,8 +49,9 @@ cooperative objects. Its key is the cog name, the ``relaxed`` flag, the
 temporary prefix, and the program and the cog node's object table by
 identity (a node that only releases its cog keeps its predecessor's
 table, and the check does not read the running object). The entry holds
-the program and the table, so their ids cannot be reused while it lives,
-and it dies with the activity. Beyond
+the program and the table, so their ids cannot be reused while it lives.
+``canon`` lends the memo to every activity interchangeable with its own
+(``values.same``): it dies with the last of them. Beyond
 its key, a cog check reads exactly three things, its footprint:
 
 - the future bijection (``fut_map``/``rev_map``, by ``_settle`` and
@@ -91,6 +92,7 @@ from .values import (
     MethodVal,
     ObjRef,
     is_primitive,
+    same,
 )
 
 
@@ -613,16 +615,12 @@ class _Verdict(NamedTuple):
             if ctx.rev_map.get(m) != a:
                 return False
         for f, v in self.futures:
-            if not _same(cn.futures.get(f, UNRESOLVED), v):
+            if not same(cn.futures.get(f, UNRESOLVED), v):
                 return False
         for f, v in self.predicted:
-            if not _same(_predicted(f, mcn), v):
+            if not same(_predicted(f, mcn), v):
                 return False
         return True
-
-
-def _same(a, b) -> bool:
-    return a is b or (type(a) is type(b) and a == b)
 
 
 def _cog_equiv(cn, mcn, cog, act, members, ctx, relaxed=False):

@@ -14,7 +14,12 @@ writes; a successor first held weakly, strongly once it had to be
 rebuilt), `canon` its shape (`_canon`), `explore` what its
 store-closure, safe-parallelism and thread-limits checks find, and
 `equiv` its verdicts against cooperative cogs (`_cog_memo`). `update`
-copies only the fields, so no memo reaches a successor.
+copies only the fields, so no memo reaches a successor. The binder a
+memoized step read matches by value (`values.same`), not only by
+identity. When `canon` first shapes an activity interchangeable with one
+of the same program it shaped before, the new one borrows every memo it
+lacks from the earlier one, `_next` and `_cog_memo` by reference, so
+both add to one table.
 """
 
 from __future__ import annotations

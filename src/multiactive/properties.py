@@ -169,6 +169,8 @@ _one_active_per_cog = _per_node(_one_active, "cogs")
 
 
 def _futures_write_once(old: AbsConfig, new: AbsConfig, label) -> list:
+    if old.futures is new.futures:  # a step that wrote no future
+        return []
     out = []
     for f, v in old.futures.items():
         if v is not UNRESOLVED and new.futures.get(f) != v:

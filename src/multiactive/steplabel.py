@@ -8,6 +8,8 @@ import weakref
 from dataclasses import dataclass
 from typing import Optional
 
+from .values import same
+
 
 # slotted: every live activity keeps its enabled labels memoized
 @dataclass(frozen=True, slots=True)
@@ -60,17 +62,22 @@ def memo_step(config, node, label, handler, outcome, place):
     written)``: it put ``written`` there. A rule that reads only ``node``
     and the program has ``()`` for both. The entry keeps the program,
     ``reads``, ``writes`` and the successor node. A hit, on the same
-    program with every ``seen`` still in place (by identity, so a value
-    rebuilt elsewhere just misses) and the successor alive, returns
-    ``place(config, successor)`` with each ``written`` put back, which is
-    what the handler would build: it read nothing else.
+    program with every ``seen`` still in place and the successor alive,
+    returns ``place(config, successor)`` with each ``written`` put back,
+    which is what the handler would build: it read nothing else. A cell
+    matches by value: it holds ``seen`` itself or a value that
+    ``values.same`` finds interchangeable with it, such as a binder that
+    another path rebuilt, so the handler would read the same. ``canon``
+    may lend the memo to a node interchangeable with ``node``: both then
+    add to one table.
 
     An entry holds its successor through a weak reference when first
     stored. When a lookup finds one whose program and reads match but
     whose successor was collected, the derivation is needed a second time,
     and the recomputed successor is kept with a strong reference, as long
-    as ``node`` lives (second-chance retention, as in the 2Q policy of
-    Johnson and Shasha). A handler's ``EngineFault`` is never stored.
+    as a node holding the memo lives (second-chance retention, as in the
+    2Q policy of Johnson and Shasha). A handler's ``EngineFault`` is never
+    stored.
     """
     memo = node.__dict__.get("_next")
     retain = False
@@ -82,7 +89,8 @@ def memo_step(config, node, label, handler, outcome, place):
             _, reads, writes, succ = entry
             futures = config.futures
             for fut, seen in reads:
-                if futures.get(fut, ABSENT) is not seen:
+                got = futures.get(fut, ABSENT)
+                if got is not seen and not same(got, seen):
                     break
             else:
                 if succ.__class__ is weakref.ReferenceType:

@@ -68,6 +68,7 @@ class Trace:
                 else:
                     index, rule, activity, digest, detail = _typed(obj, _RECORD)
                     _typed(detail, _DETAIL, " in detail")
+                    _label_fields(detail)
                     records.append(
                         StepRecord(
                             index,
@@ -96,6 +97,18 @@ _RECORD = (
 )
 _DETAIL = (("rule", str), ("activity", str))
 _KIND = {str: "a string", int: "an integer", dict: "an object"}
+
+
+def _label_fields(detail: dict):
+    """TypeError unless the optional label fields of a record's ``detail``
+    have the JSON types ``Label.from_detail`` reads: ``future`` a string
+    or null, ``extra`` a list of integers."""
+    future = detail.get("future")
+    if future is not None and future.__class__ is not str:
+        raise TypeError("'future' in detail is not a string or null")
+    extra = detail.get("extra", [])
+    if extra.__class__ is not list or any(x.__class__ is not int for x in extra):
+        raise TypeError("'extra' in detail is not a list of integers")
 
 
 def _typed(obj: dict, fields: tuple, where: str = "") -> list:

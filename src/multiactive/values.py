@@ -114,6 +114,43 @@ def evolve(obj, changes: dict):
     return new
 
 
+def same(a, b) -> bool:
+    """Are ``a`` and ``b`` interchangeable as runtime data? They are when
+    they are one object, or of one class and alike all the way down:
+    tuples item by item, dicts key by key in the same order, dataclasses
+    field by field (``pos`` and ``origin`` included), anything else by
+    ``==``. So a boolean never matches an integer, and whatever a rule,
+    a property or a shape derives from one, iterating its dicts included,
+    it derives from the other."""
+    if a is b:
+        return True
+    cls = a.__class__
+    if cls is not b.__class__:
+        return False
+    if cls is tuple:
+        if len(a) != len(b):
+            return False
+        for x, y in zip(a, b):
+            if x is not y and not same(x, y):
+                return False
+        return True
+    if cls is dict:
+        if len(a) != len(b):
+            return False
+        for (k, x), (j, y) in zip(a.items(), b.items()):
+            if not same(k, j) or x is not y and not same(x, y):
+                return False
+        return True
+    fields = getattr(cls, "__dataclass_fields__", None)
+    if fields is None:
+        return a == b
+    for f in fields:
+        x, y = getattr(a, f), getattr(b, f)
+        if x is not y and not same(x, y):
+            return False
+    return True
+
+
 class EngineFault(Exception):
     """An internal interpreter invariant broke (not a program state)."""
 

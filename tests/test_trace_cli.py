@@ -201,6 +201,22 @@ _MALFORMED = {
         _HEADER + "\n" + _record(detail={"rule": 3, "activity": "a0"}),
         "line 2: 'rule' in detail is not a string",
     ),
+    "detail-future-not-str": (
+        _HEADER + "\n" + _record(detail={"rule": "Skip", "activity": "a0", "future": 5}),
+        "line 2: 'future' in detail is not a string or null",
+    ),
+    "detail-extra-not-list": (
+        _HEADER + "\n" + _record(detail={"rule": "Skip", "activity": "a0", "extra": 5}),
+        "line 2: 'extra' in detail is not a list of integers",
+    ),
+    "detail-extra-nested": (
+        _HEADER + "\n" + _record(detail={"rule": "Skip", "activity": "a0", "extra": [[1]]}),
+        "line 2: 'extra' in detail is not a list of integers",
+    ),
+    "detail-extra-bool": (
+        _HEADER + "\n" + _record(detail={"rule": "Skip", "activity": "a0", "extra": [True]}),
+        "line 2: 'extra' in detail is not a list of integers",
+    ),
 }
 
 
